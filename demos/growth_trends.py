@@ -33,8 +33,7 @@ for k in range(10, 14):
         g = build_fast(sample_uniform_model(params, seed))
         stats = connected_components(g)
         giant = component_vertices(stats, stats.giant_label)
-        mode = "exact" if len(giant) <= 5000 else "double_sweep"
-        diam, _ = component_diameter(g, giant, mode=mode)
+        diam, _ = component_diameter(g, giant)
         diams.append(diam)
         seconds.append(stats.second_size)
         lens = [p.length for p in induced_path_components(g, stats=stats) if p.length >= 1]

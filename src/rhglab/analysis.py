@@ -16,41 +16,75 @@ from scipy.sparse import csgraph
 
 from .graphs import Graph
 
-EXACT_DIAMETER_CAP = 30_000
 REPORT_SCHEMA = "rhg-report v1"
 
 
-class UnionFind:
-    """Array-based union-find with path compression and union by size."""
-
-    def __init__(self, size: int):
-        self.parent = np.arange(size, dtype=np.int64)
-        self.size = np.ones(size, dtype=np.int64)
-        self.n_components = size
-
-    def find(self, x: int) -> int:
-        root = x
-        while self.parent[root] != root:
-            root = self.parent[root]
-        while self.parent[x] != root:
-            self.parent[x], x = root, self.parent[x]
-        return root
-
-    def union(self, a: int, b: int):
-        ra, rb = self.find(a), self.find(b)
-        if ra == rb:
-            return
-        if self.size[ra] < self.size[rb]:
-            ra, rb = rb, ra
-        self.parent[rb] = ra
-        self.size[ra] += self.size[rb]
-        self.n_components -= 1
+class CenterCliqueError(ValueError):
+    """Two vertices with r <= R/2 are not adjacent: the edge set does not
+    belong to the point set."""
 
 
 def _csr_matrix(g: Graph) -> sparse.csr_matrix:
     n = g.n_vertices
     data = np.ones(len(g.indices), dtype=np.int8)
     return sparse.csr_matrix((data, g.indices, g.indptr), shape=(n, n))
+
+
+def min_index_labels(adj: sparse.csr_matrix) -> np.ndarray:
+    """Component label per vertex of a symmetric adjacency matrix: the
+    smallest vertex index in its component."""
+    n = adj.shape[0]
+    n_comp, comp = csgraph.connected_components(adj, directed=False)
+    first = np.full(n_comp, n, dtype=np.int64)
+    np.minimum.at(first, comp, np.arange(n))
+    return first[comp]
+
+
+def bounding_diameters(adj: sparse.csr_matrix, labels: np.ndarray) -> np.ndarray:
+    """Exact diameter of every component of a symmetric adjacency matrix.
+
+    `labels` holds min-index component labels (`min_index_labels`).
+    Bounding diameters (Takes & Kosters, CIKM 2011) runs in lockstep over
+    all components: each round is one multi-source BFS from one pick per
+    unfinished component, and tightens every vertex's eccentricity bounds
+    lo <= ecc <= hi.  A component is done once no vertex has hi above the
+    largest lo, which is then its diameter.  The first pick is the
+    highest-degree vertex; later picks alternate between the smallest lo
+    and the largest hi among the vertices still above it, smallest index
+    on ties.  Returns an array indexed by label (0 off the labels).
+    """
+    n = len(labels)
+    diam = np.zeros(n, dtype=np.int64)
+    lo = np.zeros(n, dtype=np.int64)
+    hi = np.full(n, n, dtype=np.int64)
+    # vertices of unfinished components, grouped by label, by index within
+    active = np.argsort(labels, kind="stable")
+    # pick keys: larger wins, smallest index on ties
+    key = np.diff(adj.indptr)[active] * n + (n - 1 - active)
+    use_high = False
+    while len(active):
+        lab = labels[active]
+        starts = np.flatnonzero(np.r_[True, lab[1:] != lab[:-1]])
+        sizes = np.diff(np.r_[starts, len(active)])
+        picks = n - 1 - np.maximum.reduceat(key, starts) % n
+        dist = csgraph.dijkstra(adj, unweighted=True, indices=picks, min_only=True)
+        d = dist[active].astype(np.int64)
+        ecc = np.repeat(np.maximum.reduceat(d, starts), sizes)
+        lo_a = np.maximum(lo[active], np.maximum(d, ecc - d))
+        hi_a = np.minimum(hi[active], ecc + d)
+        lo[active], hi[active] = lo_a, hi_a
+        d_lo = np.maximum.reduceat(lo_a, starts)
+        cand = hi_a > np.repeat(d_lo, sizes)
+        open_ = np.logical_or.reduceat(cand, starts)
+        diam[lab[starts[~open_]]] = d_lo[~open_]
+        keep = np.repeat(open_, sizes)
+        active, cand = active[keep], cand[keep]
+        if use_high:
+            key = np.where(cand, hi[active] * n + (n - 1 - active), -1)
+        else:
+            key = np.where(cand, (n - lo[active]) * n + (n - 1 - active), -1)
+        use_high = not use_high
+    return diam
 
 
 @dataclass
@@ -68,23 +102,9 @@ class ComponentStats:
 
 
 def connected_components(g: Graph) -> ComponentStats:
-    """Disjoint-set partition; component ids are min member indices."""
+    """Component partition; component ids are min member indices."""
     n = g.n_vertices
-    uf = UnionFind(n)
-    us = np.repeat(np.arange(n), np.diff(g.indptr))
-    for u, v in zip(us.tolist(), g.indices.tolist()):
-        if u < v:
-            uf.union(u, v)
-    roots = np.array([uf.find(v) for v in range(n)], dtype=np.int64)
-    # relabel each component by its minimum vertex index
-    labels = np.full(n, -1, dtype=np.int64)
-    min_index = {}
-    for v in range(n):
-        r = roots[v]
-        if r not in min_index:
-            min_index[r] = v  # first occurrence is the minimum index
-    for v in range(n):
-        labels[v] = min_index[roots[v]]
+    labels = min_index_labels(_csr_matrix(g))
     uniq, counts = np.unique(labels, return_counts=True)
     order = np.argsort(-counts, kind="stable")
     sizes = counts[order]
@@ -102,60 +122,37 @@ def component_vertices(stats: ComponentStats, label: int) -> np.ndarray:
     return np.flatnonzero(stats.labels == label)
 
 
-def component_diameter(g: Graph, component: np.ndarray, mode: str = "exact",
-                       cap: int = EXACT_DIAMETER_CAP):
-    """Diameter of one component: (value, exact_flag).
+def component_diameter(g: Graph, component: np.ndarray, mode: str = "exact"):
+    """Exact diameter of the subgraph induced by `component`: (value, True).
 
-    exact: max BFS eccentricity over all members (size-capped).
-    double_sweep: repeated farthest-point BFS; a lower bound only.
+    The value is the longest finite shortest-path distance, found by
+    `bounding_diameters`; "exact" is the only mode.
     """
+    if mode != "exact":
+        raise ValueError(f"unknown mode {mode!r}")
     component = np.asarray(component)
-    k = len(component)
-    if k <= 1:
+    if len(component) <= 1:
         return 0, True
     sub = _csr_matrix(g)[component][:, component]
-    if mode == "exact":
-        if k > cap:
-            raise ValueError(f"component size {k} exceeds exact-mode cap {cap}")
-        best = 0.0
-        chunk = max(1, int(2e7 // max(k, 1)))
-        for start in range(0, k, chunk):
-            idx = np.arange(start, min(start + chunk, k))
-            dist = csgraph.dijkstra(sub, unweighted=True, indices=idx)
-            finite = dist[np.isfinite(dist)]
-            if len(finite):
-                best = max(best, float(finite.max()))
-        return int(best), True
-    if mode == "double_sweep":
-        src = 0
-        best = 0
-        for _ in range(4):
-            dist = csgraph.dijkstra(sub, unweighted=True, indices=src)
-            dist[~np.isfinite(dist)] = -1
-            far = int(np.argmax(dist))
-            ecc = int(dist[far])
-            if ecc <= best and far == src:
-                break
-            best = max(best, ecc)
-            if far == src:
-                break
-            src = far
-        return best, False
-    raise ValueError(f"unknown mode {mode!r}")
+    return int(bounding_diameters(sub, min_index_labels(sub)).max()), True
 
 
-def center_clique(g: Graph, verify: bool = True, verify_cap: int = 2000) -> np.ndarray:
-    """Vertices with r <= R/2; optionally asserts pairwise adjacency."""
+def center_clique(g: Graph, verify: bool = True) -> np.ndarray:
+    """Vertices with r <= R/2; optionally checks that every pair is adjacent
+    and raises CenterCliqueError otherwise."""
     r = g.sample.all_r()
     members = np.flatnonzero(r <= g.params.R / 2.0)
-    if verify and len(members) <= verify_cap:
-        for i, u in enumerate(members):
-            nb = g.neighbors(u)
-            for v in members[i + 1:]:
-                if not np.any(nb == v):
-                    raise AssertionError(
-                        f"center-clique violation: vertices {u} and {v} not adjacent"
-                    )
+    if verify and len(members) > 1:
+        block = _csr_matrix(g)[members][:, members]
+        block.sum_duplicates()  # an altered edges file may repeat a row
+        short = np.diff(block.indptr) < len(members) - 1
+        if np.any(short):
+            u = int(members[np.argmax(short)])
+            missing = np.setdiff1d(members, g.neighbors(u))
+            v = int(missing[missing != u][0])
+            raise CenterCliqueError(
+                f"center-clique violation: vertices {u} and {v} not adjacent"
+            )
     return members
 
 
@@ -311,7 +308,7 @@ def degree_stats(g: Graph, tail_window: tuple | None = None) -> DegreeStats:
     )
 
 
-def analyze(g: Graph, band: tuple = (0.2, 0.3), diameter_cap: int = EXACT_DIAMETER_CAP) -> dict:
+def analyze(g: Graph, band: tuple = (0.2, 0.3)) -> dict:
     """Full per-run structural report (schema rhg-report v1)."""
     timings = {}
     t0 = time.perf_counter()
@@ -320,12 +317,7 @@ def analyze(g: Graph, band: tuple = (0.2, 0.3), diameter_cap: int = EXACT_DIAMET
 
     t0 = time.perf_counter()
     giant = component_vertices(stats, stats.giant_label) if g.n_vertices else np.empty(0, dtype=int)
-    if len(giant) == 0:
-        diam, exact = 0, True
-    elif len(giant) <= diameter_cap:
-        diam, exact = component_diameter(g, giant, mode="exact", cap=diameter_cap)
-    else:
-        diam, exact = component_diameter(g, giant, mode="double_sweep")
+    diam, exact = component_diameter(g, giant)
     timings["diameter_s"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()

@@ -15,9 +15,8 @@ from collections import deque
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import sparse
-from scipy.sparse import csgraph
 
+from .analysis import _csr_matrix, bounding_diameters, min_index_labels
 from .geometry import ModelParams, angular_difference, is_edge
 from .graphs import Graph
 
@@ -448,23 +447,15 @@ class BoundaryPathReport:
     spread_violations: int
 
 
-def _circular_spread(thetas: np.ndarray) -> float:
-    """Angular extent of a point set: 2*pi minus the largest gap."""
-    if len(thetas) <= 1:
-        return 0.0
-    t = np.sort(thetas % (2 * math.pi))
-    gaps = np.diff(t, append=t[0] + 2 * math.pi)
-    return float(2 * math.pi - gaps.max())
-
-
-def boundary_path_audit(g: Graph, xi: float, K: float = 10.0, K_prime: float = 10.0,
-                        exact_cap: int = 3000) -> BoundaryPathReport:
+def boundary_path_audit(g: Graph, xi: float, K: float = 10.0,
+                        K_prime: float = 10.0) -> BoundaryPathReport:
     """Audit paths confined to the boundary shell {v : r_v > R - xi}.
 
     Each connected component of the boundary-induced subgraph is measured
-    by its longest shortest path (exact below `exact_cap`, double-sweep
-    lower bound above) and its angular spread; lengths beyond K log n and
-    spreads beyond K' log n / n are flagged.
+    by its exact longest shortest path and its angular spread (2*pi minus
+    the largest circular gap between its angles), in one pass over all
+    components, listed by their smallest member; lengths beyond K log n
+    and spreads beyond K' log n / n are flagged.
     """
     if xi <= 0:
         raise ValueError("xi must be positive")
@@ -478,46 +469,36 @@ def boundary_path_audit(g: Graph, xi: float, K: float = 10.0, K_prime: float = 1
     )
     if len(members) == 0:
         return report
-    # induced subgraph in CSR form
-    full = sparse.csr_matrix(
-        (np.ones(len(g.indices), dtype=np.int8), g.indices, g.indptr),
-        shape=(g.n_vertices, g.n_vertices),
-    )
-    sub = full[members][:, members]
-    n_comp, labels = csgraph.connected_components(sub, directed=False)
+    sub = _csr_matrix(g)[members][:, members]
+    labels = min_index_labels(sub)
+    roots = np.flatnonzero(labels == np.arange(len(labels)))
+    sizes = np.bincount(labels)[roots]
+    lengths = bounding_diameters(sub, labels)[roots]
+    # largest circular gap per component, on (label, theta)-sorted angles
+    t_all = theta[members] % (2 * math.pi)
+    order = np.lexsort((t_all, labels))
+    t = t_all[order]
+    starts = np.r_[0, np.cumsum(sizes)[:-1]]
+    ends = starts + sizes - 1
+    gaps = np.empty(len(t))
+    gaps[:-1] = np.diff(t)
+    gaps[ends] = t[starts] + 2 * math.pi - t[ends]
+    spreads = np.where(sizes > 1, 2 * math.pi - np.maximum.reduceat(gaps, starts), 0.0)
     log_n = math.log(g.params.n)
-    len_bound = K * log_n
-    spread_bound = K_prime * log_n / g.params.n
-    for c in range(n_comp):
-        local = np.flatnonzero(labels == c)
-        k = len(local)
-        if k == 1:
-            length, exact = 0, True
-        else:
-            block = sub[local][:, local]
-            if k <= exact_cap:
-                dist = csgraph.dijkstra(block, unweighted=True)
-                dist[~np.isfinite(dist)] = 0
-                length, exact = int(dist.max()), True
-            else:
-                d0 = csgraph.dijkstra(block, unweighted=True, indices=0)
-                d0[~np.isfinite(d0)] = -1
-                far = int(np.argmax(d0))
-                d1 = csgraph.dijkstra(block, unweighted=True, indices=far)
-                d1[~np.isfinite(d1)] = -1
-                length, exact = int(d1.max()), False
-        spread = _circular_spread(theta[members[local]])
-        entry = {
-            "size": int(k),
-            "length": int(length),
-            "length_exact": bool(exact),
+    length_flags = lengths > K * log_n
+    spread_flags = spreads > K_prime * log_n / g.params.n
+    for k, length, spread, lf, sf in zip(sizes.tolist(), lengths.tolist(), spreads.tolist(),
+                                         length_flags.tolist(), spread_flags.tolist()):
+        report.components.append({
+            "size": k,
+            "length": length,
+            "length_exact": True,
             "spread": spread,
-            "length_flag": bool(length > len_bound),
-            "spread_flag": bool(spread > spread_bound),
-        }
-        report.components.append(entry)
-        report.max_length = max(report.max_length, length)
-        report.max_spread = max(report.max_spread, spread)
-        report.length_violations += int(entry["length_flag"])
-        report.spread_violations += int(entry["spread_flag"])
+            "length_flag": lf,
+            "spread_flag": sf,
+        })
+    report.max_length = int(lengths.max())
+    report.max_spread = max(0.0, float(spreads.max()))
+    report.length_violations = int(length_flags.sum())
+    report.spread_violations = int(spread_flags.sum())
     return report

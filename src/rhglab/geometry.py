@@ -19,8 +19,10 @@ import numpy as np
 
 TWO_PI = 2.0 * math.pi
 
-# cosh overflows double precision near 710; stay clear of it.
-MAX_RADIUS = 700.0
+# the edge predicate multiplies cosh r_u by cosh r_v, which overflows
+# double precision once r_u + r_v nears 710; radii stay below R, so
+# 2 * MAX_RADIUS must stay clear of that.
+MAX_RADIUS = 350.0
 
 # a clamp larger than this indicates parameter misuse, not rounding
 CLAMP_ABORT = 1e-9

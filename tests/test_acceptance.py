@@ -281,7 +281,6 @@ def test_criterion_06_sampler_fidelity():
 
 N_GRID = [2 ** k for k in range(12, 18)]
 SWEEP_SEEDS = 10
-EXACT_DIAMETER_VERTICES = 10_000
 
 
 @pytest.fixture(scope="module")
@@ -294,8 +293,7 @@ def trend_sweep():
             g = build_fast(sample_uniform_model(params, seed))
             stats = connected_components(g)
             giant = component_vertices(stats, stats.giant_label)
-            mode = "exact" if len(giant) <= EXACT_DIAMETER_VERTICES else "double_sweep"
-            diam, _ = component_diameter(g, giant, mode=mode)
+            diam, _ = component_diameter(g, giant)
             paths = induced_path_components(g, stats=stats)
             lens = [p.length for p in paths if p.length >= 1]
             records.append({

@@ -1,6 +1,6 @@
-"""Analysis tests: components against a BFS-flood oracle, diameters,
-center clique, distance to center, induced-path classification, degree
-statistics, and the report schema.
+"""Analysis tests: components against a BFS-flood oracle, diameters
+against an all-pairs oracle, center clique, distance to center,
+induced-path classification, degree statistics, and the report schema.
 """
 
 import json
@@ -8,10 +8,15 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from scipy.sparse import csgraph
 
 from rhglab.analysis import (
+    CenterCliqueError,
     _bfs_component,
+    _csr_matrix,
     analyze,
+    bounding_diameters,
     center_clique,
     component_diameter,
     component_vertices,
@@ -22,8 +27,9 @@ from rhglab.analysis import (
     save_report,
     verify_induced_path,
 )
+from rhglab.cli import main
 from rhglab.geometry import ModelParams
-from rhglab.graphs import Graph, _csr_from_edges, build_fast
+from rhglab.graphs import Graph, _csr_from_edges, build_fast, save_graph
 from rhglab.sampler import SampleSet, sample_uniform_model
 
 PARAMS = ModelParams(alpha=0.75, C=0.0, n=500)
@@ -85,21 +91,69 @@ def test_component_diameter_trivials():
     assert component_diameter(single, np.array([0]), mode="exact") == (0, True)
 
 
-def test_double_sweep_lower_bound():
+def assert_diameters_match_oracle(g):
+    """bounding_diameters over all components at once, and
+    component_diameter on each, equal an all-pairs BFS oracle."""
+    dist = csgraph.dijkstra(_csr_matrix(g), unweighted=True)
+    dist[~np.isfinite(dist)] = -1
+    labels = connected_components(g).labels
+    want = np.zeros(g.n_vertices, dtype=np.int64)
+    np.maximum.at(want, labels, dist.max(axis=1).astype(np.int64))
+    assert np.array_equal(bounding_diameters(_csr_matrix(g), labels), want)
+    for label in np.unique(labels):
+        assert component_diameter(g, np.flatnonzero(labels == label)) == (want[label], True)
+
+
+def test_component_diameter_matches_all_pairs():
     for seed in range(10):
-        g = build_fast(sample_uniform_model(PARAMS, seed))
-        stats = connected_components(g)
-        comp = component_vertices(stats, stats.giant_label)
-        lo, lo_exact = component_diameter(g, comp, mode="double_sweep")
-        hi, hi_exact = component_diameter(g, comp, mode="exact")
-        assert not lo_exact and hi_exact
-        assert lo <= hi
-
-
-def test_component_diameter_cap():
+        assert_diameters_match_oracle(build_fast(sample_uniform_model(PARAMS, seed)))
     g = graph_from_edges(3, [(0, 1), (1, 2)])
     with pytest.raises(ValueError):
-        component_diameter(g, np.arange(3), mode="exact", cap=2)
+        component_diameter(g, np.arange(3), mode="approximate")
+
+
+def shapes():
+    """(edge list, vertex count, diameter) for small hand-made graphs."""
+    path = [(i, i + 1) for i in range(9)]
+    cycle9 = [(i, (i + 1) % 9) for i in range(9)]
+    cycle10 = [(i, (i + 1) % 10) for i in range(10)]
+    star = [(0, i) for i in range(1, 8)]
+    k5 = [(i, j) for i in range(5) for j in range(i + 1, 5)]
+    barbell = k5 + [(i + 8, j + 8) for i, j in k5] + [(4, 5), (5, 6), (6, 7), (7, 8)]
+    return [(path, 10, 9), (cycle9, 9, 4), (cycle10, 10, 5), (star, 8, 2),
+            (barbell, 13, 6)]
+
+
+def test_bounding_diameters_hand_made_shapes():
+    edges, offset, expected = [], 0, {}
+    for shape, k, diameter in shapes():
+        g = graph_from_edges(k, shape)
+        assert component_diameter(g, np.arange(k)) == (diameter, True)
+        # the disjoint union, with an isolated vertex after each shape
+        edges += [(u + offset, v + offset) for u, v in shape]
+        expected[offset] = diameter
+        expected[offset + k] = 0
+        offset += k + 1
+    union = graph_from_edges(offset, edges)
+    labels = connected_components(union).labels
+    got = bounding_diameters(_csr_matrix(union), labels)
+    assert {int(c): int(got[c]) for c in np.unique(labels)} == expected
+    assert_diameters_match_oracle(union)
+
+
+@st.composite
+def edge_lists(draw):
+    n = draw(st.integers(1, 40))
+    pairs = draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)),
+                          max_size=80))
+    return n, sorted({(min(u, v), max(u, v)) for u, v in pairs if u != v})
+
+
+@settings(max_examples=200, deadline=None)
+@given(edge_lists())
+def test_bounding_diameters_random_edge_lists(graph):
+    n, edges = graph
+    assert_diameters_match_oracle(graph_from_edges(n, edges))
 
 
 def test_center_clique_and_distance():
@@ -117,6 +171,20 @@ def test_center_clique_and_distance():
     clique_labels = set(stats.labels[clique].tolist())
     for v in range(g.n_vertices):
         assert np.isfinite(dist[v]) == (stats.labels[v] in clique_labels)
+
+
+def test_center_clique_violation_rejected(tmp_path):
+    # every vertex lies inside B_O(R/2), so all 2001 pairs must be edges
+    n = 2001
+    s = SampleSet(r=np.full(n, 0.5), theta=np.linspace(0, 1, n, endpoint=False),
+                  params=PARAMS, seed=0, model="manual")
+    indptr, indices = _csr_from_edges(n, np.empty(0, np.int64), np.empty(0, np.int64))
+    g = Graph(sample=s, indptr=indptr, indices=indices, builder="manual")
+    with pytest.raises(CenterCliqueError, match="vertices 0 and 1 not adjacent"):
+        center_clique(g)
+    save_graph(g, tmp_path / "g")
+    assert main(["analyze", "--graph", str(tmp_path / "g"),
+                 "--out", str(tmp_path / "rep.json")]) == 1
 
 
 def test_induced_path_classifier_trivials():
@@ -203,6 +271,7 @@ def test_analyze_report_schema(tmp_path):
     assert report["params"]["n"] == PARAMS.n
     assert sum(report["component_sizes"]) <= g.n_vertices
     assert report["giant_size"] >= report["second_size"]
+    assert report["giant_diameter"]["exact"] is True
     clique = center_clique(g, verify=False)
     assert report["center_clique"]["size"] == len(clique)
     if len(clique) > 0:

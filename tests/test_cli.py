@@ -132,6 +132,9 @@ def test_exit_code_validation_error(tmp_path):
     # nonexistent points file -> OSError -> 1
     assert run(["build", "--points", tmp_path / "missing.tsv",
                 "--out", tmp_path / "e.tsv"]) == 1
+    # R above the overflow guard -> ValueError -> 1
+    assert run(["generate", "--alpha", 0.75, "--n", 1000, "--C", 380,
+                "--out", tmp_path / "big.tsv"]) == 1
     # bad sweep grid -> ValueError -> 1
     assert run(["sweep", "--n-grid", "300,100", "--out-dir", tmp_path]) == 1
     # empty reports dir -> 1

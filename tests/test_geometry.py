@@ -256,6 +256,8 @@ def test_params_validation():
     with pytest.raises(ValueError):
         ModelParams(alpha=0.75, C=800.0, n=10)  # R > 700
     with pytest.raises(ValueError):
+        ModelParams(alpha=0.75, C=380.0, n=1000)  # R ~ 394: cosh products overflow
+    with pytest.raises(ValueError):
         ModelParams(alpha=0.75, C=-100.0, n=10)  # R <= 0
     with pytest.warns(UserWarning):
         ModelParams(alpha=1.5, C=0.0, n=100)
