@@ -208,51 +208,44 @@ class InducedPath:
 
 def induced_path_components(g: Graph, band: tuple | None = None,
                             stats: ComponentStats | None = None):
-    """Components whose induced subgraph is a simple path.
+    """Components whose induced subgraph is a simple path, in label order.
 
     Returns a list of InducedPath.  A singleton counts as length 0.  When
     `band` = (c1, c2) is given, in_band marks paths with every radius in
-    [R - c2, R - c1].
+    [R - c2, R - c1].  A component is a path iff no vertex has degree above
+    2 and it has k - 1 edges (a tree of maximum degree 2); each such path
+    is walked from its smallest-index end.
     """
     if stats is None:
         stats = connected_components(g)
+    n = g.n_vertices
+    labels = stats.labels
     deg = g.degrees()
-    r = g.sample.all_r()
-    R = g.params.R
+    size = np.bincount(labels, minlength=n)
+    degree_sum = np.bincount(labels, weights=deg, minlength=n)
+    branching = np.bincount(labels[deg > 2], minlength=n)
+    is_path = (size > 0) & (branching == 0) & (degree_sum == 2 * (size - 1))
+    in_band = np.zeros(n, dtype=bool)
+    if band is not None:
+        c1, c2 = band
+        r = g.sample.all_r()
+        R = g.params.R
+        outside = ~((r >= R - c2) & (r <= R - c1))
+        in_band = np.bincount(labels[outside], minlength=n) == 0
+    ends = np.flatnonzero(deg == 1)
+    end_labels, first = np.unique(labels[ends], return_index=True)
+    start = np.arange(n)  # a singleton is its own label
+    start[end_labels] = ends[first]
     out = []
-    for label in np.unique(stats.labels):
-        members = component_vertices(stats, label)
-        k = len(members)
-        if k == 1:
-            path = [int(members[0])]
-        else:
-            d = deg[members]
-            # path iff exactly two endpoints of degree 1, rest degree 2,
-            # and edge count k - 1 (excludes cycles)
-            if not (np.count_nonzero(d == 1) == 2 and np.count_nonzero(d == 2) == k - 2):
-                continue
-            if int(d.sum()) // 2 != k - 1:
-                continue
-            # walk from one endpoint
-            start = int(members[d == 1][0])
-            path = [start]
-            prev = -1
-            cur = start
-            while len(path) < k:
-                nxt = [int(v) for v in g.neighbors(cur) if v != prev]
-                if len(nxt) != 1:
-                    path = None
-                    break
-                prev, cur = cur, nxt[0]
-                path.append(cur)
-            if path is None:
-                continue
-        in_band = False
-        if band is not None:
-            c1, c2 = band
-            rv = r[path]
-            in_band = bool(np.all((rv >= R - c2) & (rv <= R - c1)))
-        out.append(InducedPath(vertices=path, length=len(path) - 1, in_band=in_band))
+    for label in np.flatnonzero(is_path):
+        cur, prev = int(start[label]), -1
+        path = [cur]
+        for _ in range(size[label] - 1):
+            nb = g.neighbors(cur)
+            prev, cur = cur, int(nb[0] if nb[0] != prev else nb[1])
+            path.append(cur)
+        out.append(InducedPath(vertices=path, length=len(path) - 1,
+                               in_band=bool(in_band[label])))
     return out
 
 

@@ -53,8 +53,7 @@ def _load_graph_from(args) -> graphs.Graph:
         return graphs.load_graph(args.graph)
     s = sampler.load_points(args.points)
     edges = graphs.load_edges(args.edges, s.n_total)
-    indptr, indices = graphs._csr_from_edges(s.n_total, edges[:, 0], edges[:, 1])
-    return graphs.Graph(sample=s, indptr=indptr, indices=indices, builder="loaded")
+    return graphs.Graph.from_edges(s, edges[:, 0], edges[:, 1], "loaded")
 
 
 def _cmd_analyze(args) -> int:

@@ -1,12 +1,11 @@
 """Hyperbolic-plane primitives in native polar coordinates.
 
-Everything here is a pure function of its arguments.  Adjacency questions
-are always decided through the single canonical cosine comparison
-
-    cos(theta_u - theta_v)  >=  (cosh r_u cosh r_v - cosh R) / (sinh r_u sinh r_v)
-
-so that every caller (naive builder, fast builder, explorer audits) agrees
-bit-for-bit on edge membership.
+Everything here is a pure function of its arguments.  One predicate,
+cos(theta_u - theta_v) sinh r_u sinh r_v >= cosh r_u cosh r_v - cosh R,
+decides adjacency in `is_edge` and in both builders, so they agree bit for
+bit.  The angle forms of the rule (`cos_threshold`, `max_angle_for_edge`)
+only size windows: the fast builder pads its windows to a superset and
+leaves every decision to the predicate.
 """
 
 from __future__ import annotations
@@ -126,12 +125,11 @@ def angular_difference(t1, t2):
     return min(d, TWO_PI - d)
 
 
-def hyperbolic_distance(p: PolarPoint, q: PolarPoint, params: ModelParams | None = None):
+def hyperbolic_distance(p: PolarPoint, q: PolarPoint):
     """Distance from the hyperbolic law of cosines.
 
     Arguments are canonicalized by (r, theta) order so the floating evaluation
-    is exactly symmetric.  `params` is accepted for signature uniformity with
-    the rest of the package; the distance itself does not depend on it.
+    is exactly symmetric.
     """
     if (q.r, q.theta) < (p.r, p.theta):
         p, q = q, p

@@ -29,7 +29,7 @@ from rhglab.analysis import (
 )
 from rhglab.cli import main
 from rhglab.geometry import ModelParams
-from rhglab.graphs import Graph, _csr_from_edges, build_fast, save_graph
+from rhglab.graphs import Graph, build_fast, save_graph
 from rhglab.sampler import SampleSet, sample_uniform_model
 
 PARAMS = ModelParams(alpha=0.75, C=0.0, n=500)
@@ -46,8 +46,7 @@ def graph_from_edges(n, edges, params=PARAMS):
     )
     us = np.array([e[0] for e in edges], dtype=np.int64)
     vs = np.array([e[1] for e in edges], dtype=np.int64)
-    indptr, indices = _csr_from_edges(n, us, vs)
-    return Graph(sample=s, indptr=indptr, indices=indices, builder="manual")
+    return Graph.from_edges(s, us, vs, "manual")
 
 
 def test_components_empty_graph():
@@ -178,8 +177,7 @@ def test_center_clique_violation_rejected(tmp_path):
     n = 2001
     s = SampleSet(r=np.full(n, 0.5), theta=np.linspace(0, 1, n, endpoint=False),
                   params=PARAMS, seed=0, model="manual")
-    indptr, indices = _csr_from_edges(n, np.empty(0, np.int64), np.empty(0, np.int64))
-    g = Graph(sample=s, indptr=indptr, indices=indices, builder="manual")
+    g = Graph.from_edges(s, [], [], "manual")
     with pytest.raises(CenterCliqueError, match="vertices 0 and 1 not adjacent"):
         center_clique(g)
     save_graph(g, tmp_path / "g")
@@ -244,8 +242,7 @@ def test_band_tagging():
         seed=0,
         model="manual",
     )
-    indptr, indices = _csr_from_edges(4, np.array([0, 2]), np.array([1, 3]))
-    g = Graph(sample=s, indptr=indptr, indices=indices, builder="manual")
+    g = Graph.from_edges(s, [0, 2], [1, 3], "manual")
     paths = induced_path_components(g, band=(0.2, 0.3))
     by_start = {p.vertices[0]: p for p in paths}
     assert by_start[0].in_band
