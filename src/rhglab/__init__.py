@@ -23,7 +23,6 @@ from .sampler import (
     radial_quantile,
     sample_poisson_model,
     sample_uniform_model,
-    sample_vertex,
     save_points,
 )
 from .measure import (

@@ -24,12 +24,6 @@ class CenterCliqueError(ValueError):
     belong to the point set."""
 
 
-def _csr_matrix(g: Graph) -> sparse.csr_matrix:
-    n = g.n_vertices
-    data = np.ones(len(g.indices), dtype=np.int8)
-    return sparse.csr_matrix((data, g.indices, g.indptr), shape=(n, n))
-
-
 def min_index_labels(adj: sparse.csr_matrix) -> np.ndarray:
     """Component label per vertex of a symmetric adjacency matrix: the
     smallest vertex index in its component."""
@@ -94,17 +88,12 @@ class ComponentStats:
     giant_size: int
     second_size: int
     giant_label: int
-    giant_diameter: float | None = None
-    giant_diameter_exact: bool | None = None
-    center_clique_size: int | None = None
-    longest_induced_path_overall: int | None = None
-    longest_induced_path_in_band: int | None = None
 
 
 def connected_components(g: Graph) -> ComponentStats:
     """Component partition; component ids are min member indices."""
     n = g.n_vertices
-    labels = min_index_labels(_csr_matrix(g))
+    labels = min_index_labels(g.as_csr_matrix())
     uniq, counts = np.unique(labels, return_counts=True)
     order = np.argsort(-counts, kind="stable")
     sizes = counts[order]
@@ -133,7 +122,7 @@ def component_diameter(g: Graph, component: np.ndarray, mode: str = "exact"):
     component = np.asarray(component)
     if len(component) <= 1:
         return 0, True
-    sub = _csr_matrix(g)[component][:, component]
+    sub = g.as_csr_matrix()[component][:, component]
     return int(bounding_diameters(sub, min_index_labels(sub)).max()), True
 
 
@@ -143,7 +132,7 @@ def center_clique(g: Graph, verify: bool = True) -> np.ndarray:
     r = g.sample.all_r()
     members = np.flatnonzero(r <= g.params.R / 2.0)
     if verify and len(members) > 1:
-        block = _csr_matrix(g)[members][:, members]
+        block = g.as_csr_matrix()[members][:, members]
         block.sum_duplicates()  # an altered edges file may repeat a row
         short = np.diff(block.indptr) < len(members) - 1
         if np.any(short):
@@ -158,31 +147,11 @@ def center_clique(g: Graph, verify: bool = True) -> np.ndarray:
 
 def distance_to_center(g: Graph, clique: np.ndarray | None = None) -> np.ndarray:
     """Hop count to the nearest center-clique vertex; inf when unreachable."""
-    n = g.n_vertices
     if clique is None:
         clique = center_clique(g, verify=False)
-    dist = np.full(n, np.inf)
     if len(clique) == 0:
-        return dist
-    dist[clique] = 0.0
-    frontier = np.asarray(clique)
-    level = 0
-    while len(frontier):
-        level += 1
-        # gather all neighbors of the frontier in one CSR pass
-        starts = g.indptr[frontier]
-        stops = g.indptr[frontier + 1]
-        total = int((stops - starts).sum())
-        if total == 0:
-            break
-        nbrs = np.concatenate([g.indices[a:b] for a, b in zip(starts, stops)])
-        nbrs = np.unique(nbrs)
-        new = nbrs[~np.isfinite(dist[nbrs])]
-        if len(new) == 0:
-            break
-        dist[new] = level
-        frontier = new
-    return dist
+        return np.full(g.n_vertices, np.inf)
+    return csgraph.dijkstra(g.as_csr_matrix(), unweighted=True, indices=clique, min_only=True)
 
 
 def _bfs_component(g: Graph, start: int) -> np.ndarray:

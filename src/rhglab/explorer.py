@@ -1,6 +1,12 @@
 """Determinized exploration machinery over a realized graph: band
-schedules, greedy center-path descent through outer and inner bands, the
-phased region-exposure search, and the boundary-path audit.
+schedules, the band descent, the phased region-exposure search, and the
+boundary-path audit.
+
+One backtracking search, `_band_descent`, serves both descents of the
+proof: `find_center_path` through the outer bands into B_O(R_{i0}) and
+`descend_inner` through the inner bands into B_O(R/2).  Each supplies
+only its candidate order and its terminal radius.  `verify_path` checks
+a path with the builders' edge predicate, `geometry.edge_mask`.
 
 The asymptotic schedule degenerates at desk scale (its outer band depth
 is negative for any reachable n, and the angular windows exceed a full
@@ -16,8 +22,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .analysis import _csr_matrix, bounding_diameters, min_index_labels
-from .geometry import ModelParams, angular_difference, is_edge
+from .analysis import bounding_diameters, min_index_labels
+from .geometry import ModelParams, edge_mask
 from .graphs import Graph
 
 
@@ -107,6 +113,46 @@ def compute_schedule(params: ModelParams) -> BandSchedule:
 # ---------------------------------------------------------------------------
 # greedy descents
 
+def _band_descent(g: Graph, v: int, candidates, terminal: float):
+    """Backtracking DFS from v toward the ball B_O(terminal).
+
+    `candidates(u, depth)` lists the next vertices to try from u, which sits
+    `depth` steps after v, in the order they are tried.  A vertex is tried
+    at most once over the whole search.  A neighbor inside B_O(terminal)
+    ends the path at once, minimum index first.  Returns the vertex list
+    (starting at v) or None when every candidate is exhausted.
+    """
+    r = g.sample.all_r()
+
+    def _terminal(u):
+        nb = g.neighbors(u)
+        hit = nb[r[nb] <= terminal]
+        return int(hit.min()) if len(hit) else None
+
+    v = int(v)
+    t = _terminal(v)
+    if t is not None:
+        return [v, t]
+    visited = set()
+    # stack entries: (path, candidate list of its end, cursor)
+    stack = [([v], candidates(v, 0), 0)]
+    while stack:
+        path, cand, k = stack[-1]
+        if k >= len(cand):
+            stack.pop()
+            continue
+        stack[-1] = (path, cand, k + 1)
+        w = int(cand[k])
+        if w in visited:
+            continue
+        visited.add(w)
+        t = _terminal(w)
+        if t is not None:
+            return path + [w, t]
+        stack.append((path + [w], candidates(w, len(path)), 0))
+    return None
+
+
 def find_center_path(g: Graph, v: int, schedule: BandSchedule):
     """Band descent from v toward B_O(R_{i0}).
 
@@ -125,38 +171,17 @@ def find_center_path(g: Graph, v: int, schedule: BandSchedule):
             f"vertex {v} has r={r[v]:.4f} <= R_i0={bands[i0]:.4f}; "
             "center paths start outside B_O(R_i0)"
         )
-    target = bands[i0]
-    visited = set()
-    # stack entries: (path tuple, band index of path end, candidate list, cursor)
-    def _candidates(u, b):
+
+    def _candidates(u, depth):
+        """Neighbors one band below u's band ell - depth, by index; none
+        once that band reaches R_{i0}."""
+        b = ell - depth
+        if b <= i0:
+            return ()
         nb = g.neighbors(u)
         return np.sort(nb[(r[nb] > bands[b - 1]) & (r[nb] <= bands[b])])
 
-    def _terminal(u):
-        nb = g.neighbors(u)
-        hit = nb[r[nb] <= target]
-        return int(hit.min()) if len(hit) else None
-
-    t = _terminal(int(v))
-    if t is not None:
-        return [int(v), t]
-    stack = [([int(v)], ell, _candidates(int(v), ell), 0)]
-    while stack:
-        path, b, cand, k = stack[-1]
-        if k >= len(cand):
-            stack.pop()
-            continue
-        stack[-1] = (path, b, cand, k + 1)
-        w = int(cand[k])
-        if w in visited:
-            continue
-        visited.add(w)
-        t = _terminal(w)
-        if t is not None:
-            return path + [w, t]
-        if b - 1 > i0:
-            stack.append((path + [w], b - 1, _candidates(w, b - 1), 0))
-    return None
+    return _band_descent(g, v, _candidates, bands[i0])
 
 
 def _descent_boundaries(schedule: BandSchedule) -> np.ndarray:
@@ -193,44 +218,17 @@ def descend_inner(g: Graph, v: int, schedule: BandSchedule):
         )
     if r[v] <= half_R:
         return [int(v)]
-    visited = set()
 
-    def _candidates(u):
+    def _candidates(u, depth):
         """Neighbors strictly deeper than u's band, shallower bands first,
         minimum index within a band."""
         k = int(np.searchsorted(-bounds, -r[u], side="right"))
         nb = g.neighbors(u)
         nb = nb[(r[nb] <= bounds[min(k, len(bounds) - 1)]) & (r[nb] > half_R)]
-        if len(nb) == 0:
-            return nb
         band_pos = np.searchsorted(-bounds, -r[nb], side="left")
-        order = np.lexsort((nb, band_pos))
-        return nb[order]
+        return nb[np.lexsort((nb, band_pos))]
 
-    def _terminal(u):
-        nb = g.neighbors(u)
-        hit = nb[r[nb] <= half_R]
-        return int(hit.min()) if len(hit) else None
-
-    t = _terminal(int(v))
-    if t is not None:
-        return [int(v), t]
-    stack = [([int(v)], _candidates(int(v)), 0)]
-    while stack:
-        path, cand, k = stack[-1]
-        if k >= len(cand):
-            stack.pop()
-            continue
-        stack[-1] = (path, cand, k + 1)
-        w = int(cand[k])
-        if w in visited:
-            continue
-        visited.add(w)
-        t = _terminal(w)
-        if t is not None:
-            return path + [w, t]
-        stack.append((path + [w], _candidates(w), 0))
-    return None
+    return _band_descent(g, v, _candidates, half_R)
 
 
 # ---------------------------------------------------------------------------
@@ -287,11 +285,14 @@ def _trace_path(parent: np.ndarray, t: int):
 
 
 def verify_path(g: Graph, path: list) -> bool:
-    """Consecutive vertices adjacent under the canonical predicate."""
-    for u, v in zip(path, path[1:]):
-        if not is_edge(g.sample.point(u), g.sample.point(v), g.params):
-            return False
-    return True
+    """Consecutive vertices adjacent under the edge predicate, checked in
+    one call on the coordinates the builders use."""
+    p = np.asarray(path, dtype=np.int64)
+    r = g.sample.all_r()[p]
+    theta = g.sample.all_theta()[p]
+    cosh_r, sinh_r = np.cosh(r), np.sinh(r)
+    return bool(np.all(edge_mask(np.cos(theta[:-1] - theta[1:]), cosh_r[:-1], sinh_r[:-1],
+                                 cosh_r[1:], sinh_r[1:], math.cosh(g.params.R))))
 
 
 def expose(g: Graph, query: int, config: ExposeConfig | None = None,
@@ -469,7 +470,7 @@ def boundary_path_audit(g: Graph, xi: float, K: float = 10.0,
     )
     if len(members) == 0:
         return report
-    sub = _csr_matrix(g)[members][:, members]
+    sub = g.as_csr_matrix()[members][:, members]
     labels = min_index_labels(sub)
     roots = np.flatnonzero(labels == np.arange(len(labels)))
     sizes = np.bincount(labels)[roots]

@@ -1,11 +1,13 @@
 """Hyperbolic-plane primitives in native polar coordinates.
 
 Everything here is a pure function of its arguments.  One predicate,
-cos(theta_u - theta_v) sinh r_u sinh r_v >= cosh r_u cosh r_v - cosh R,
-decides adjacency in `is_edge` and in both builders, so they agree bit for
-bit.  The angle forms of the rule (`cos_threshold`, `max_angle_for_edge`)
-only size windows: the fast builder pads its windows to a superset and
-leaves every decision to the predicate.
+`edge_mask`, is the only place where the edge rule
+cos(theta_u - theta_v) sinh r_u sinh r_v >= cosh r_u cosh r_v - cosh R
+is written: `is_edge`, `explorer.verify_path` and both builders call it
+with numpy's cosh, sinh and cos, so they agree bit for bit.  The angle
+forms of the rule (`cos_threshold`, `max_angle_for_edge`) only size
+windows: the fast builder pads its windows to a superset and leaves every
+decision to the predicate.
 """
 
 from __future__ import annotations
@@ -210,17 +212,25 @@ def cos_threshold_array(r_u, r_v, params: ModelParams):
     return np.where(always, -2.0, thr)
 
 
-def is_edge(p: PolarPoint, q: PolarPoint, params: ModelParams) -> bool:
-    """Edge rule d(p, q) <= R, decided through the canonical comparison.
+def edge_mask(cos_dtheta, cosh_u, sinh_u, cosh_v, sinh_v, cosh_R):
+    """The edge predicate, vectorized: cos(dtheta) >= threshold.
 
-    Evaluated in product form, cos(dtheta) * sinh(r_p) sinh(r_q) >= cosh(r_p)
-    cosh(r_q) - cosh(R), matching the builders' vectorized predicate exactly.
+    Pairs with sinh product 0 or cosh product <= cosh R are always edges.
+    Callers evaluate cosh, sinh and cos with numpy, whose results do not
+    depend on array shape, so every caller decides a pair the same way.
     """
-    den = math.sinh(p.r) * math.sinh(q.r)
-    num = math.cosh(p.r) * math.cosh(q.r) - math.cosh(params.R)
-    if den == 0.0 or num <= -den:
-        return True
-    return math.cos(p.theta - q.theta) * den >= num
+    den = sinh_u * sinh_v
+    num = cosh_u * cosh_v - cosh_R
+    always = (den == 0.0) | (num <= -den)  # covers r_u + r_v <= R and r = 0
+    with np.errstate(divide="ignore", invalid="ignore"):
+        mask = cos_dtheta * den >= num
+    return np.where(always, True, mask)
+
+
+def is_edge(p: PolarPoint, q: PolarPoint, params: ModelParams) -> bool:
+    """Edge rule d(p, q) <= R, decided by `edge_mask` as in the builders."""
+    return bool(edge_mask(np.cos(p.theta - q.theta), np.cosh(p.r), np.sinh(p.r),
+                          np.cosh(q.r), np.sinh(q.r), math.cosh(params.R)))
 
 
 def max_angle_for_edge(r_u, r_v, params: ModelParams):

@@ -1,10 +1,10 @@
 """Graph construction: edge iff hyperbolic distance <= R.
 
-One predicate, `_edge_mask`, decides every pair in both builders, so their
-edge sets are identical bit for bit.  `build_naive` tests all pairs;
-`build_fast` tests the pairs inside angular windows over radial bands.  The
-windows are a padded superset of the true neighbourhoods, so pairs at the
-threshold angle are left to the predicate.
+The one edge predicate, `geometry.edge_mask`, decides every pair in both
+builders, so their edge sets are identical bit for bit.  `build_naive`
+tests all pairs; `build_fast` tests the pairs inside angular windows over
+radial bands.  The windows are a padded superset of the true
+neighbourhoods, so pairs at the threshold angle are left to the predicate.
 """
 
 from __future__ import annotations
@@ -14,8 +14,9 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy import sparse
 
-from .geometry import TWO_PI, ModelParams, cos_threshold_array
+from .geometry import TWO_PI, ModelParams, cos_threshold_array, edge_mask
 from .sampler import SampleSet, load_points, save_points
 
 EDGES_FORMAT = "rhg-edges v1"
@@ -87,18 +88,11 @@ class Graph:
         keep = us < vs
         return np.column_stack([us[keep], vs[keep]])
 
-
-def _edge_mask(cos_dtheta, cosh_u, sinh_u, cosh_v, sinh_v, cosh_R):
-    """The canonical predicate, vectorized: cos(dtheta) >= threshold.
-
-    Pairs with sinh product 0 or cosh product <= cosh R are always edges.
-    """
-    den = sinh_u * sinh_v
-    num = cosh_u * cosh_v - cosh_R
-    always = (den == 0.0) | (num <= -den)  # covers r_u + r_v <= R and r = 0
-    with np.errstate(divide="ignore", invalid="ignore"):
-        mask = cos_dtheta * den >= num
-    return np.where(always, True, mask)
+    def as_csr_matrix(self) -> sparse.csr_matrix:
+        """The adjacency as a scipy CSR matrix of int8 ones, for csgraph."""
+        n = self.n_vertices
+        data = np.ones(len(self.indices), dtype=np.int8)
+        return sparse.csr_matrix((data, self.indices, self.indptr), shape=(n, n))
 
 
 def build_naive(sample: SampleSet, override_size_guard: bool = False) -> Graph:
@@ -120,7 +114,7 @@ def build_naive(sample: SampleSet, override_size_guard: bool = False) -> Graph:
         stop = min(start + block, n)
         i = np.arange(start, stop)
         cos_dt = np.cos(theta[i, None] - theta[None, :])
-        mask = _edge_mask(
+        mask = edge_mask(
             cos_dt,
             cosh_r[i, None], sinh_r[i, None],
             cosh_r[None, :], sinh_r[None, :],
@@ -155,7 +149,7 @@ def build_fast(sample: SampleSet) -> Graph:
     index when both share a band.  For band j, every vertex in bands <= j
     looks up its padded angular window in band j's angle-sorted members
     (tiled at -2 pi, 0 and +2 pi, so windows wrap without a special case),
-    and `_edge_mask` decides each candidate pair.
+    and `edge_mask` decides each candidate pair.
     """
     params = sample.params
     r = sample.all_r()
@@ -191,8 +185,8 @@ def build_fast(sample: SampleSet) -> Graph:
             v = members[pos % m]
             keep = lower[q] | (u < v)
             u, v = u[keep], v[keep]
-            hit = _edge_mask(np.cos(theta[u] - theta[v]), cosh_r[u], sinh_r[u],
-                             cosh_r[v], sinh_r[v], cosh_R)
+            hit = edge_mask(np.cos(theta[u] - theta[v]), cosh_r[u], sinh_r[u],
+                            cosh_r[v], sinh_r[v], cosh_R)
             us_parts.append(u[hit])
             vs_parts.append(v[hit])
     return Graph.from_edges(sample, np.concatenate(us_parts), np.concatenate(vs_parts), "fast")

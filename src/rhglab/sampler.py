@@ -7,6 +7,7 @@ the same whether the set is generated serially or in parallel.
 
 from __future__ import annotations
 
+import io
 import math
 from dataclasses import dataclass, field
 
@@ -19,6 +20,8 @@ from .geometry import TWO_PI, ModelParams, PolarPoint
 _PROBE_STREAM_BASE = 1 << 62
 
 POINTS_FORMAT = "rhg-points v1"
+# one points row: index (negative for probes), r, theta
+_POINTS_ROW = [("i", np.int64), ("r", np.float64), ("theta", np.float64)]
 
 
 def radial_quantile(u, params: ModelParams):
@@ -32,13 +35,6 @@ def radial_quantile(u, params: ModelParams):
     norm = math.cosh(params.alpha * params.R) - 1.0
     r = np.arccosh(1.0 + u_arr * norm) / params.alpha
     return float(r) if np.isscalar(u) else r
-
-
-def sample_vertex(rng: np.random.Generator, params: ModelParams) -> PolarPoint:
-    """One vertex from a sequential stream; consumes exactly two uniforms."""
-    theta = TWO_PI * rng.random()
-    r = radial_quantile(rng.random(), params)
-    return PolarPoint(r=min(r, np.nextafter(params.R, 0.0)), theta=theta)
 
 
 def _points_from_counters(params: ModelParams, seed: int, streams):
@@ -186,68 +182,72 @@ class PointsFormatError(ValueError):
 
 
 def load_points(path) -> SampleSet:
-    """Read a points TSV written by save_points, validating the header."""
-    with open(path) as f:
-        header = f.readline().rstrip("\n")
-        prefix = f"# {POINTS_FORMAT} "
-        if not header.startswith(prefix):
-            raise PointsFormatError(f"bad points header: {header!r}")
+    """Read a points TSV written by save_points, validating the header and
+    every row."""
+    try:
+        with open(path, encoding="utf-8") as f:
+            header = f.readline().rstrip("\n")
+            payload = f.read()
+    except UnicodeDecodeError as e:
+        raise PointsFormatError(f"points file is not UTF-8 text: {e}") from e
+    prefix = f"# {POINTS_FORMAT} "
+    if not header.startswith(prefix):
+        raise PointsFormatError(f"bad points header: {header!r}")
+    try:
         fields = dict(tok.split("=", 1) for tok in header[len(prefix):].split())
-        try:
-            alpha = float(fields["alpha"])
-            C = float(fields["C"])
-            n = int(fields["n"])
-            R = float(fields["R"])
-            seed = int(fields["seed"])
-            model = fields["model"]
-            count = int(fields["count"])
-        except (KeyError, ValueError) as e:
-            raise PointsFormatError(f"bad points header fields: {e}") from e
-        params = ModelParams(alpha=alpha, C=C, n=n)
-        if not math.isclose(params.R, R, rel_tol=1e-12):
-            raise PointsFormatError(
-                f"header R={R} inconsistent with 2 ln n + C = {params.R}"
-            )
-        idx, rs, ts = [], [], []
-        for line in f:
-            parts = line.rstrip("\n").split("\t")
-            if len(parts) != 3:
-                raise PointsFormatError(f"bad points row: {line!r}")
-            idx.append(int(parts[0]))
-            rs.append(float(parts[1]))
-            ts.append(float(parts[2]))
-    point_rows = [k for k, i in enumerate(idx) if i >= 0]
-    probe_rows = [k for k, i in enumerate(idx) if i < 0]
-    if len(point_rows) != count:
+        params = ModelParams(alpha=float(fields["alpha"]), C=float(fields["C"]),
+                             n=int(fields["n"]))
+        R = float(fields["R"])
+        seed = int(fields["seed"])
+        model = fields["model"]
+        count = int(fields["count"])
+    except (KeyError, ValueError) as e:
+        raise PointsFormatError(f"bad points header fields: {e}") from e
+    if not math.isclose(params.R, R, rel_tol=1e-12):
         raise PointsFormatError(
-            f"header count={count} but file has {len(point_rows)} point rows"
+            f"header R={R} inconsistent with 2 ln n + C = {params.R}"
         )
-    if [idx[k] for k in point_rows] != list(range(count)):
+    rows = np.zeros(0, dtype=_POINTS_ROW)
+    if payload:
+        try:
+            rows = np.loadtxt(io.StringIO(payload), dtype=_POINTS_ROW, delimiter="\t",
+                              comments=None, ndmin=1)
+        except ValueError as e:
+            raise PointsFormatError(f"bad points row: {e}") from e
+    # loadtxt skips blank lines, which are malformed rows here
+    if len(rows) != payload.count("\n") + (payload[-1:] not in ("", "\n")):
+        raise PointsFormatError("blank points row")
+    idx, rs, ts = rows["i"], rows["r"], rows["theta"]
+    point = idx >= 0
+    if np.count_nonzero(point) != count:
+        raise PointsFormatError(
+            f"header count={count} but file has {np.count_nonzero(point)} point rows"
+        )
+    if not np.array_equal(idx[point], np.arange(count)):
         raise PointsFormatError("point indices are not 0..count-1 in order")
-    if [idx[k] for k in probe_rows] != [-(j + 1) for j in range(len(probe_rows))]:
+    if not np.array_equal(idx[~point], -np.arange(1, len(idx) - count + 1)):
         raise PointsFormatError("probe indices are not -1..-m in order")
-    rs = np.asarray(rs)
-    ts = np.asarray(ts)
-    if np.any(rs > params.R) or np.any(rs < 0):
+    # a nan radius fails both comparisons
+    if not np.all((rs >= 0) & (rs <= params.R)):
         raise PointsFormatError("radial coordinate outside [0, R]")
+    if not np.all(np.isfinite(ts)):
+        raise PointsFormatError("angular coordinate is not finite")
     # provenance spot-check: points are a pure function of the header
     # constants, so tampering with alpha/C/seed breaks reproduction
     if count > 0 and model in ("uniform", "poisson"):
         k = min(count, 4)
         want_r, want_t = _points_from_counters(params, seed, np.arange(k))
-        got_r = rs[point_rows][:k]
-        got_t = ts[point_rows][:k]
-        if not (np.array_equal(want_r, got_r) and np.array_equal(want_t, got_t)):
+        if not (np.array_equal(want_r, rs[point][:k]) and np.array_equal(want_t, ts[point][:k])):
             raise PointsFormatError(
                 "points do not reproduce from header constants; header or "
                 "payload has been altered"
             )
     return SampleSet(
-        r=rs[point_rows],
-        theta=ts[point_rows],
+        r=rs[point],
+        theta=ts[point],
         params=params,
         seed=seed,
         model=model,
-        probe_r=rs[probe_rows],
-        probe_theta=ts[probe_rows],
+        probe_r=rs[~point],
+        probe_theta=ts[~point],
     )

@@ -14,7 +14,6 @@ from scipy.sparse import csgraph
 from rhglab.analysis import (
     CenterCliqueError,
     _bfs_component,
-    _csr_matrix,
     analyze,
     bounding_diameters,
     center_clique,
@@ -93,12 +92,12 @@ def test_component_diameter_trivials():
 def assert_diameters_match_oracle(g):
     """bounding_diameters over all components at once, and
     component_diameter on each, equal an all-pairs BFS oracle."""
-    dist = csgraph.dijkstra(_csr_matrix(g), unweighted=True)
+    dist = csgraph.dijkstra(g.as_csr_matrix(), unweighted=True)
     dist[~np.isfinite(dist)] = -1
     labels = connected_components(g).labels
     want = np.zeros(g.n_vertices, dtype=np.int64)
     np.maximum.at(want, labels, dist.max(axis=1).astype(np.int64))
-    assert np.array_equal(bounding_diameters(_csr_matrix(g), labels), want)
+    assert np.array_equal(bounding_diameters(g.as_csr_matrix(), labels), want)
     for label in np.unique(labels):
         assert component_diameter(g, np.flatnonzero(labels == label)) == (want[label], True)
 
@@ -135,7 +134,7 @@ def test_bounding_diameters_hand_made_shapes():
         offset += k + 1
     union = graph_from_edges(offset, edges)
     labels = connected_components(union).labels
-    got = bounding_diameters(_csr_matrix(union), labels)
+    got = bounding_diameters(union.as_csr_matrix(), labels)
     assert {int(c): int(got[c]) for c in np.unique(labels)} == expected
     assert_diameters_match_oracle(union)
 

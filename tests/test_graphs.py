@@ -10,7 +10,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from rhglab.geometry import TWO_PI, ModelParams, PolarPoint, max_angle_for_edge
+from rhglab.explorer import verify_path
+from rhglab.geometry import TWO_PI, ModelParams, PolarPoint, is_edge, max_angle_for_edge
 from rhglab import graphs
 from rhglab.graphs import (
     BAND_WIDTH,
@@ -104,7 +105,14 @@ def test_builders_identical_at_threshold_ties(pairs):
         r += [r_u, r_v]
         theta += [theta_u, (theta_u + side * gap) % TWO_PI]
     s = manual_sample(r, theta, TIE_PARAMS)
-    assert np.array_equal(build_naive(s).edge_array(), build_fast(s).edge_array())
+    g = build_naive(s)
+    assert np.array_equal(g.edge_array(), build_fast(s).edge_array())
+    # the point-level predicate and path check decide each tie pair as built
+    for u in range(1, len(r), 2):
+        adjacent = g.has_edge(u, u + 1)
+        assert is_edge(s.point(u), s.point(u + 1), TIE_PARAMS) == adjacent
+        if adjacent:
+            assert verify_path(g, [u, u + 1])
 
 
 @pytest.mark.parametrize("R", [340.0, 350.0])

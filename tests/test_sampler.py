@@ -17,7 +17,6 @@ from rhglab.sampler import (
     radial_quantile,
     sample_poisson_model,
     sample_uniform_model,
-    sample_vertex,
     save_points,
     _points_from_counters,
 )
@@ -43,18 +42,6 @@ def test_quantile_cdf_round_trip():
     r = radial_quantile(u, PARAMS)
     back = np.array([mu_ball_origin_exact(x, PARAMS) for x in r[:500]])
     assert np.max(np.abs(back - u[:500])) < 1e-12
-
-
-def test_sample_vertex_two_uniforms():
-    rng1 = np.random.default_rng(42)
-    rng2 = np.random.default_rng(42)
-    p = sample_vertex(rng1, PARAMS)
-    t = 2 * math.pi * rng2.random()
-    r = radial_quantile(rng2.random(), PARAMS)
-    assert p.theta == t
-    assert p.r == min(r, np.nextafter(PARAMS.R, 0.0))
-    # stream advanced by exactly two draws
-    assert rng1.random() == rng2.random()
 
 
 def test_uniform_model_count_and_bounds():
@@ -153,7 +140,39 @@ def test_points_round_trip(tmp_path):
 
 def test_points_bad_header(tmp_path):
     path = tmp_path / "bad.tsv"
-    path.write_text("# not-a-points-file\n0\t1.0\t1.0\n")
+    for header in ("# not-a-points-file",
+                   "# rhg-points v1 alpha=0.75 C=0.0 n=10 R seed=0 model=uniform count=1"):
+        path.write_text(header + "\n0\t1.0\t1.0\n")
+        with pytest.raises(PointsFormatError):
+            load_points(path)
+
+
+@pytest.mark.parametrize("row", [
+    "9\tnan\t1.0",             # nan radius after the spot-checked rows
+    "9\t1.0\tnan",             # nan angle
+    "9\t1.0\tinf",             # infinite angle
+    "9\t-inf\t1.0",            # infinite radius
+    "9\tx\t1.0",               # non-numeric radius
+    "9\t1.0\t",                # empty angle
+    "9.0\t1.0\t1.0",           # non-integer index
+    "x\t1.0\t1.0",             # non-numeric index
+    "9\t1.0",                   # two columns
+    "9\t1.0\t1.0\t1.0",         # four columns
+    "9 1.0 1.0",                # wrong separator
+    "\n{last}",                 # blank row
+    "{last}\n",                 # blank last row
+    "10\t1.0\t1.0",            # index out of order
+    "{last}\n-2\t1.0\t1.0",     # probe index out of order
+    "9\t1.0\t\xff",            # not UTF-8 (written as latin-1)
+])
+def test_points_malformed_rows(tmp_path, row):
+    """The last of ten rows replaced by `row`; {last} stands for the row."""
+    s = sample_uniform_model(ModelParams(alpha=0.75, C=0.0, n=10), 0)
+    path = tmp_path / "p.tsv"
+    save_points(s, path)
+    lines = path.read_text().splitlines()
+    path.write_text("\n".join(lines[:-1] + [row.format(last=lines[-1])]) + "\n",
+                    encoding="latin-1")
     with pytest.raises(PointsFormatError):
         load_points(path)
 
