@@ -131,7 +131,7 @@ def _measure_rows(params: ModelParams, samples: int, seed: int):
     for r_A, rho_O in ((R - 2.0, 0.75 * R), (R - 1.0, R), (0.8 * R, 0.8 * R)):
         A = PolarPoint(r=r_A, theta=0.0)
         closed, env = measure.mu_ball_intersection_approx(r_A, R, rho_O, params)
-        region = measure.intersection(measure.ball_at(A, R), measure.ball_origin(rho_O))
+        region = measure.intersection(measure.ball_origin(rho_O), measure.ball_at(A, R))
         # envelope constant is fitted at desk scale (the bound is asymptotic)
         add(f"ball_intersection_rA={r_A:.3f}_rhoO={rho_O:.3f}",
             region, closed, 4.0 * env + 0.15 * closed, s)
@@ -213,10 +213,6 @@ def _cmd_sweep(args) -> int:
                 list(pool.map(_run_cell, pending))
     print(f"sweep complete: {len(cells)} reports in {args.out_dir}")
     return 0
-
-
-PLOT_METRICS = ("giant_size", "giant_diameter", "second_size",
-                "center_clique_size", "longest_induced_path")
 
 
 def emit_plot_data(reports: list, out_file) -> None:

@@ -4,18 +4,24 @@ seeded Monte-Carlo oracle.
 Closed forms are exact where the radial CDF permits and asymptotic
 otherwise; each asymptotic form reports its error envelope so callers can
 gate agreement as (confidence interval + envelope), never exact equality.
+
+The oracle draws its points in fixed-size shards keyed by shard index and
+evaluates each shard in fixed blocks of counters; every point keeps its
+counter, so estimates depend on neither the shard schedule nor the block
+size.  Composite regions evaluate a later part only on the points the
+earlier parts left open.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from ._rng import mix, uniforms
-from .geometry import TWO_PI, ModelParams, PolarPoint, angular_difference, hyperbolic_distance
-from .sampler import radial_quantile
+from ._rng import mix
+from .geometry import TWO_PI, ModelParams, PolarPoint, hyperbolic_distance
+from .sampler import _points_from_counters
 
 # 99% two-sided normal quantile
 Z99 = 2.5758293035489004
@@ -23,6 +29,10 @@ Z99 = 2.5758293035489004
 # fixed Monte-Carlo shard size; keeps merged estimates independent of
 # how shards are distributed over workers
 SHARD_SIZE = 1_000_000
+
+# counters per evaluation block inside a shard: 2^13 float64 (64 KiB) keep
+# every temporary below glibc's mmap threshold and inside L2
+BLOCK_SIZE = 8192
 
 MIN_SAMPLES = 10_000
 
@@ -78,9 +88,12 @@ class Intersection(Region):
     parts: tuple
 
     def contains(self, r, theta, params):
-        out = np.ones(np.shape(r), dtype=bool)
+        # a part sees only the points every earlier part kept, so the
+        # cheap radial parts go first
+        r, theta = np.broadcast_arrays(r, theta)
+        out = np.ones(r.shape, dtype=bool)
         for part in self.parts:
-            out &= part.contains(r, theta, params)
+            out = _contains_where(part, out, r, theta, params)
         return out
 
 
@@ -90,9 +103,9 @@ class Difference(Region):
     drop: Region
 
     def contains(self, r, theta, params):
-        return self.keep.contains(r, theta, params) & ~self.drop.contains(
-            r, theta, params
-        )
+        r, theta = np.broadcast_arrays(r, theta)
+        keep = np.asarray(self.keep.contains(r, theta, params), dtype=bool)
+        return keep & ~_contains_where(self.drop, keep, r, theta, params)
 
 
 @dataclass(frozen=True)
@@ -112,6 +125,17 @@ class Cone(Region):
             else:
                 out |= (theta >= lo) | (theta < hi)
         return out
+
+
+def _contains_where(region, mask, r, theta, params):
+    """region.contains(r, theta) where `mask` holds and False elsewhere,
+    evaluating the region only on those points."""
+    if mask.all():
+        return np.asarray(region.contains(r, theta, params), dtype=bool)
+    idx = np.flatnonzero(mask)
+    out = np.zeros(mask.size, dtype=bool)
+    out[idx] = region.contains(np.ravel(r)[idx], np.ravel(theta)[idx], params)
+    return out.reshape(mask.shape)
 
 
 def ball_origin(rho):
@@ -207,25 +231,21 @@ class McEstimate:
 def mu_monte_carlo(region: Region, samples: int, seed: int, params: ModelParams) -> McEstimate:
     """Hit-frequency estimate of mu(region) under the model density.
 
-    Deterministic for fixed (seed, samples): points are drawn from
-    fixed-size counter-keyed shards, so the result does not depend on how
-    the shards are scheduled.
+    Deterministic for fixed (seed, samples): point k of shard s is drawn
+    from counter k under the key mix(seed, s), and each shard is evaluated
+    in blocks of BLOCK_SIZE counters, so the result depends on neither how
+    the shards are scheduled nor the block size.
     """
     if samples < MIN_SAMPLES:
         raise ValueError(f"samples={samples} below minimum {MIN_SAMPLES}")
     hits = 0
-    done = 0
-    shard = 0
-    while done < samples:
-        size = min(SHARD_SIZE, samples - done)
+    for shard, done in enumerate(range(0, samples, SHARD_SIZE)):
         key = int(mix(seed, shard))
-        k = np.arange(size, dtype=np.uint64)
-        theta = TWO_PI * uniforms(key, k * np.uint64(2))
-        u = uniforms(key, k * np.uint64(2) + np.uint64(1))
-        r = radial_quantile(u, params)
-        hits += int(np.count_nonzero(region.contains(r, theta, params)))
-        done += size
-        shard += 1
+        size = min(SHARD_SIZE, samples - done)
+        for lo in range(0, size, BLOCK_SIZE):
+            k = np.arange(lo, min(lo + BLOCK_SIZE, size), dtype=np.uint64)
+            r, theta = _points_from_counters(params, key, k)
+            hits += int(np.count_nonzero(region.contains(r, theta, params)))
     mean = hits / samples
     half = Z99 * math.sqrt(max(mean * (1.0 - mean), 0.0) / samples)
     return McEstimate(mean=mean, half_width=half, samples=samples, seed=seed)
@@ -271,8 +291,8 @@ def band_ratio_check(
         raise ValueError(f"need R_{i} < R - xi = {params.R - xi}, got {bands[i]}")
     A = PolarPoint(r=r_A, theta=0.0)
     ball_A = ball_at(A, params.R)
-    num_region = intersection(ball_A, band_origin(bands[i - 1], bands[i]))
-    den_region = intersection(ball_A, ball_origin(bands[i]))
+    num_region = intersection(band_origin(bands[i - 1], bands[i]), ball_A)
+    den_region = intersection(ball_origin(bands[i]), ball_A)
     num = mu_monte_carlo(num_region, samples, seed, params)
     den = mu_monte_carlo(den_region, samples, int(mix(seed, 1 << 32)), params)
     ratio = num.mean / den.mean if den.mean > 0 else math.nan
@@ -307,7 +327,7 @@ def lens_minus_ball_region(A: PolarPoint, B: PolarPoint, c1, c2, c3, params: Mod
     R = params.R
     shell_B = difference(ball_at(B, R), ball_at(B, R - c3))
     band = band_origin(R - c2, R - c1)
-    return difference(intersection(shell_B, band), ball_at(A, R))
+    return difference(intersection(band, shell_B), ball_at(A, R))
 
 
 @dataclass(frozen=True)

@@ -7,8 +7,11 @@ import math
 import numpy as np
 import pytest
 
+from rhglab._rng import mix
 from rhglab.geometry import ModelParams, PolarPoint
 from rhglab.measure import (
+    SHARD_SIZE,
+    Z99,
     McEstimate,
     band_origin,
     band_ratio_check,
@@ -28,6 +31,7 @@ from rhglab.measure import (
     mu_monte_carlo,
 )
 from rhglab.explorer import compute_schedule
+from rhglab.sampler import _points_from_counters
 
 
 def params_for_radius(R, alpha=0.75, n=1000):
@@ -90,6 +94,86 @@ def test_monte_carlo_deterministic():
     assert a == b
     c = mu_monte_carlo(region, 50_000, 124, P30)
     assert a != c
+
+
+def test_monte_carlo_blocks_match_full_shards():
+    """The blocked loop counts the hits a full-width pass over each shard
+    counts: no block boundary drops or repeats a counter.  The sample
+    count ends in a partial shard and a partial block."""
+    samples, seed = SHARD_SIZE + 12_345, 31
+    shards = []
+    for shard, done in enumerate(range(0, samples, SHARD_SIZE)):
+        size = min(SHARD_SIZE, samples - done)
+        shards.append(_points_from_counters(P30, int(mix(seed, shard)), np.arange(size)))
+    R = P30.R
+    regions = [
+        ball_origin(R),
+        ball_origin(R - 1.0),
+        band_origin(R - 2.0, R - 1.0),
+        intersection(band_origin(R - 3.0, R), ball_at(PolarPoint(r=10.0, theta=1.0), R)),
+        difference(ball_origin(R - 0.5), ball_at(PolarPoint(r=20.0, theta=2.0), R - 1.0)),
+        cone([(0.5, 2.5), (5.0, 0.5)]),
+    ]
+    for region in regions:
+        hits = sum(int(np.count_nonzero(region.contains(r, theta, P30))) for r, theta in shards)
+        mean = hits / samples
+        want = McEstimate(mean=mean, half_width=Z99 * math.sqrt(mean * (1.0 - mean) / samples),
+                          samples=samples, seed=seed)
+        assert mu_monte_carlo(region, samples, seed, P30) == want, region
+
+
+def _plain(region, r, theta):
+    """Reference evaluation of a composite region with whole-array masks."""
+    r, theta = np.broadcast_arrays(r, theta)
+    if hasattr(region, "parts"):
+        out = np.ones(r.shape, dtype=bool)
+        for part in region.parts:
+            out = out & _plain(part, r, theta)
+        return out
+    if hasattr(region, "keep"):
+        return _plain(region.keep, r, theta) & ~_plain(region.drop, r, theta)
+    return region.contains(r, theta, P30)
+
+
+def test_composite_regions_match_plain_masks():
+    """Intersection and Difference evaluate later parts only where the
+    answer is open; the masks equal the plain `&` / `& ~` forms."""
+    R = P30.R
+    atoms = [
+        ball_origin(R - 1.0),
+        band_origin(R - 3.0, R - 0.5),
+        ball_at(PolarPoint(r=R - 1.0, theta=0.0), R),
+        ball_at(PolarPoint(r=12.0, theta=2.5), R - 2.0),
+        cone([(0.5, 2.5), (5.0, 0.5)]),
+        ball_origin(0.0),  # keeps nothing
+    ]
+    rng = np.random.default_rng(12)
+    r = R * rng.random(5000) ** 0.2
+    theta = 2 * math.pi * rng.random(5000)
+    inputs = [
+        (r, theta),
+        (r.reshape(50, 100), theta.reshape(50, 100)),
+        (r[:300], 1.0),  # broadcast scalar angle
+        (np.empty(0), np.empty(0)),
+        (R - 0.7, 0.1),
+        (np.float64(R - 0.7), np.asarray(0.1)),
+        (np.asarray(20.0), np.asarray(3.0)),
+    ]
+    composites = []
+    for a in atoms:
+        for b in atoms:
+            composites += [intersection(a, b), difference(a, b)]
+    composites += [
+        intersection(atoms[1], atoms[2], atoms[4]),
+        intersection(),
+        difference(intersection(atoms[1], atoms[3]), intersection(atoms[4], atoms[2])),
+    ]
+    for region in composites:
+        for rr, tt in inputs:
+            got = region.contains(rr, tt, P30)
+            want = _plain(region, rr, tt)
+            assert np.shape(got) == np.shape(want), (region, np.shape(rr))
+            assert np.array_equal(got, want), (region, np.shape(rr))
 
 
 def test_monte_carlo_vs_exact_cdf():

@@ -7,6 +7,7 @@ import math
 import numpy as np
 import pytest
 
+from rhglab import sampler
 from rhglab.geometry import ModelParams, PolarPoint
 from rhglab.measure import mu_ball_origin_exact
 from rhglab.sampler import (
@@ -136,6 +137,29 @@ def test_points_round_trip(tmp_path):
     assert t.seed == s.seed and t.model == s.model
     assert np.array_equal(t.r, s.r) and np.array_equal(t.theta, s.theta)
     assert np.array_equal(t.probe_r, s.probe_r)
+
+
+@pytest.mark.parametrize("chunk", [None, 7])
+def test_points_file_bytes(tmp_path, monkeypatch, chunk):
+    """The points file is the header plus one `%d\\t%.17g\\t%.17g` row per
+    point, then per probe with indices -1..-m; a small chunk puts row
+    boundaries inside the points and at the probes."""
+    if chunk is not None:
+        monkeypatch.setattr(sampler, "_SAVE_CHUNK", chunk)
+    s = sample_poisson_model(ModelParams(alpha=0.6, C=1.5, n=40), 3)
+    s = add_probe(s)
+    s = add_probe(s, PolarPoint(r=0.0, theta=3.0))
+    path = tmp_path / "p.tsv"
+    save_points(s, path)
+    expected = (
+        f"# rhg-points v1 alpha=0.6 C=1.5 n=40 R={s.params.R!r} "
+        f"seed=3 model=poisson count={s.n_points}\n"
+    )
+    for i in range(s.n_points):
+        expected += f"{i}\t{s.r[i]:.17g}\t{s.theta[i]:.17g}\n"
+    for j in range(s.n_probes):
+        expected += f"{-(j + 1)}\t{s.probe_r[j]:.17g}\t{s.probe_theta[j]:.17g}\n"
+    assert path.read_bytes() == expected.encode()
 
 
 def test_points_bad_header(tmp_path):
