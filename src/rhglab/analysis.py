@@ -154,20 +154,6 @@ def distance_to_center(g: Graph, clique: np.ndarray | None = None) -> np.ndarray
     return csgraph.dijkstra(g.as_csr_matrix(), unweighted=True, indices=clique, min_only=True)
 
 
-def _bfs_component(g: Graph, start: int) -> np.ndarray:
-    """Plain BFS flood from start (independent oracle for components)."""
-    seen = np.zeros(g.n_vertices, dtype=bool)
-    seen[start] = True
-    stack = [start]
-    while stack:
-        u = stack.pop()
-        for v in g.neighbors(u):
-            if not seen[v]:
-                seen[v] = True
-                stack.append(int(v))
-    return np.flatnonzero(seen)
-
-
 @dataclass
 class InducedPath:
     vertices: list          # path order, endpoints first/last
@@ -216,19 +202,6 @@ def induced_path_components(g: Graph, band: tuple | None = None,
         out.append(InducedPath(vertices=path, length=len(path) - 1,
                                in_band=bool(in_band[label])))
     return out
-
-
-def verify_induced_path(g: Graph, path: list) -> bool:
-    """Re-check a reported path: consecutive adjacent, the rest non-adjacent."""
-    for i, u in enumerate(path):
-        for j in range(i + 1, len(path)):
-            v = path[j]
-            adjacent = g.has_edge(u, v)
-            if j == i + 1 and not adjacent:
-                return False
-            if j > i + 1 and adjacent:
-                return False
-    return True
 
 
 @dataclass

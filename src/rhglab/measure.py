@@ -9,7 +9,8 @@ The oracle draws its points in fixed-size shards keyed by shard index and
 evaluates each shard in fixed blocks of counters; every point keeps its
 counter, so estimates depend on neither the shard schedule nor the block
 size.  Composite regions evaluate a later part only on the points the
-earlier parts left open.
+earlier parts left open, and a radial region (one that reads r alone) is
+fed radii only: the oracle draws no angles for it.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ import numpy as np
 
 from ._rng import mix
 from .geometry import TWO_PI, ModelParams, PolarPoint, hyperbolic_distance
-from .sampler import _points_from_counters
+from .sampler import _points_from_counters, _radii_from_counters
 
 # 99% two-sided normal quantile
 Z99 = 2.5758293035489004
@@ -42,7 +43,17 @@ MIN_SAMPLES = 10_000
 
 @dataclass(frozen=True)
 class Region:
-    """Base marker for point-set regions of the hyperbolic disc."""
+    """Base marker for point-set regions of the hyperbolic disc.
+
+    `contains(r, theta, params)` returns a bool mask.  A region whose
+    `radial` is true reads r alone: it accepts theta=None and its mask has
+    r's shape.  Any other region's mask has the broadcast shape of
+    (r, theta).
+    """
+
+    @property
+    def radial(self) -> bool:
+        return False
 
     def contains(self, r, theta, params):  # pragma: no cover - abstract
         raise NotImplementedError
@@ -51,6 +62,7 @@ class Region:
 @dataclass(frozen=True)
 class BallOrigin(Region):
     rho: float
+    radial = True
 
     def contains(self, r, theta, params):
         return np.asarray(r) <= self.rho
@@ -73,6 +85,7 @@ class BallAt(Region):
 class BandOrigin(Region):
     rho_lo: float
     rho_hi: float
+    radial = True
 
     def __post_init__(self):
         if not 0 <= self.rho_lo <= self.rho_hi:
@@ -87,10 +100,14 @@ class BandOrigin(Region):
 class Intersection(Region):
     parts: tuple
 
+    @property
+    def radial(self) -> bool:
+        return all(part.radial for part in self.parts)
+
     def contains(self, r, theta, params):
         # a part sees only the points every earlier part kept, so the
         # cheap radial parts go first
-        r, theta = np.broadcast_arrays(r, theta)
+        r, theta = _operands(self, r, theta)
         out = np.ones(r.shape, dtype=bool)
         for part in self.parts:
             out = _contains_where(part, out, r, theta, params)
@@ -102,8 +119,12 @@ class Difference(Region):
     keep: Region
     drop: Region
 
+    @property
+    def radial(self) -> bool:
+        return self.keep.radial and self.drop.radial
+
     def contains(self, r, theta, params):
-        r, theta = np.broadcast_arrays(r, theta)
+        r, theta = _operands(self, r, theta)
         keep = np.asarray(self.keep.contains(r, theta, params), dtype=bool)
         return keep & ~_contains_where(self.drop, keep, r, theta, params)
 
@@ -116,7 +137,7 @@ class Cone(Region):
 
     def contains(self, r, theta, params):
         theta = np.asarray(theta) % TWO_PI
-        out = np.zeros(np.shape(theta), dtype=bool)
+        out = np.zeros(np.broadcast_shapes(np.shape(r), theta.shape), dtype=bool)
         for lo, hi in self.intervals:
             lo %= TWO_PI
             hi %= TWO_PI
@@ -127,14 +148,25 @@ class Cone(Region):
         return out
 
 
+def _operands(region, r, theta):
+    """(r, theta) as a composite evaluates them: a radial composite takes
+    r alone, any other both at their broadcast shape."""
+    if region.radial:
+        return np.asarray(r), None
+    return np.broadcast_arrays(r, theta)
+
+
 def _contains_where(region, mask, r, theta, params):
     """region.contains(r, theta) where `mask` holds and False elsewhere,
-    evaluating the region only on those points."""
+    evaluating the region only on those points; r (and theta, unless
+    None) have mask's shape."""
     if mask.all():
         return np.asarray(region.contains(r, theta, params), dtype=bool)
     idx = np.flatnonzero(mask)
+    if theta is not None:
+        theta = np.ravel(theta)[idx]
     out = np.zeros(mask.size, dtype=bool)
-    out[idx] = region.contains(np.ravel(r)[idx], np.ravel(theta)[idx], params)
+    out[idx] = region.contains(np.ravel(r)[idx], theta, params)
     return out.reshape(mask.shape)
 
 
@@ -234,17 +266,22 @@ def mu_monte_carlo(region: Region, samples: int, seed: int, params: ModelParams)
     Deterministic for fixed (seed, samples): point k of shard s is drawn
     from counter k under the key mix(seed, s), and each shard is evaluated
     in blocks of BLOCK_SIZE counters, so the result depends on neither how
-    the shards are scheduled nor the block size.
+    the shards are scheduled nor the block size.  A radial region gets the
+    same radii and theta=None.
     """
     if samples < MIN_SAMPLES:
         raise ValueError(f"samples={samples} below minimum {MIN_SAMPLES}")
+    radial = region.radial
     hits = 0
     for shard, done in enumerate(range(0, samples, SHARD_SIZE)):
         key = int(mix(seed, shard))
         size = min(SHARD_SIZE, samples - done)
         for lo in range(0, size, BLOCK_SIZE):
             k = np.arange(lo, min(lo + BLOCK_SIZE, size), dtype=np.uint64)
-            r, theta = _points_from_counters(params, key, k)
+            if radial:
+                r, theta = _radii_from_counters(params, key, k), None
+            else:
+                r, theta = _points_from_counters(params, key, k)
             hits += int(np.count_nonzero(region.contains(r, theta, params)))
     mean = hits / samples
     half = Z99 * math.sqrt(max(mean * (1.0 - mean), 0.0) / samples)

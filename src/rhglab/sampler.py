@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._rng import mix, uniforms
+from ._rng import mix, uniforms, uniforms_into
 from .geometry import TWO_PI, ModelParams, PolarPoint
 
 # probe substreams live far away from the vertex counters
@@ -33,24 +33,47 @@ def radial_quantile(u, params: ModelParams):
 
     Accepts scalars or arrays; u must lie in [0, 1].
     """
-    u_arr = np.asarray(u, dtype=np.float64)
+    u_arr = np.array(u, dtype=np.float64)
     if np.any(u_arr < 0) or np.any(u_arr > 1):
         raise ValueError("quantile argument must lie in [0, 1]")
-    norm = math.cosh(params.alpha * params.R) - 1.0
-    r = np.arccosh(1.0 + u_arr * norm) / params.alpha
+    r = _quantile_into(u_arr, params)
     return float(r) if np.isscalar(u) else r
 
 
-def _points_from_counters(params: ModelParams, seed: int, streams):
-    """Coordinates for substream ids `streams` (one vertex per id)."""
-    streams = np.asarray(streams, dtype=np.uint64)
-    theta = TWO_PI * uniforms(seed, streams * np.uint64(2))
-    u = uniforms(seed, streams * np.uint64(2) + np.uint64(1))
-    r = radial_quantile(u, params)
+def _quantile_into(u, params: ModelParams):
+    """radial_quantile without the range check, overwriting the float64
+    array `u`."""
+    u *= math.cosh(params.alpha * params.R) - 1.0
+    u += 1.0
+    np.arccosh(u, out=u)
+    u /= params.alpha
+    return u
+
+
+def _radii_into(u, params: ModelParams):
+    """Radii for the program's own uniforms in [0, 1), overwriting `u`."""
+    r = _quantile_into(u, params)
     # u < 1 strictly, so r < R mathematically; guard the rounding edge
-    r = np.minimum(r, np.nextafter(params.R, 0.0))
-    theta = np.where(theta >= TWO_PI, 0.0, theta)
-    return r, theta
+    return np.minimum(r, np.nextafter(params.R, 0.0), out=r)
+
+
+def _points_from_counters(params: ModelParams, seed: int, streams):
+    """Coordinates for substream ids `streams` (one vertex per id): theta
+    from counter 2 id, r from counter 2 id + 1, mixed in one pass."""
+    streams = np.asarray(streams, dtype=np.uint64)
+    counters = np.empty((2, streams.size), dtype=np.uint64)
+    np.multiply(streams, np.uint64(2), out=counters[0])
+    np.add(counters[0], np.uint64(1), out=counters[1])
+    theta, u = uniforms_into(seed, counters)
+    theta *= TWO_PI
+    theta[theta >= TWO_PI] = 0.0
+    return _radii_into(u, params), theta
+
+
+def _radii_from_counters(params: ModelParams, seed: int, streams):
+    """The radii of _points_from_counters alone: no angle is drawn."""
+    streams = np.asarray(streams, dtype=np.uint64)
+    return _radii_into(uniforms_into(seed, streams * np.uint64(2) + np.uint64(1)), params)
 
 
 @dataclass(frozen=True)

@@ -195,7 +195,7 @@ def test_criterion_05_measure_oracle():
         for r_A, rho_O in ((R - 1, R), (R - 2, 0.75 * R)):
             closed, env = measure.mu_ball_intersection_approx(r_A, R, rho_O, params)
             A = PolarPoint(r=r_A, theta=0.0)
-            reg = measure.intersection(measure.ball_at(A, R), measure.ball_origin(rho_O))
+            reg = measure.intersection(measure.ball_origin(rho_O), measure.ball_at(A, R))
             mc = measure.mu_monte_carlo(reg, MC_SAMPLES, seed, params)
             seed += 1
             if not _mc_agrees(closed, mc, env):
@@ -215,7 +215,7 @@ def test_criterion_05_measure_oracle():
         R - c2, R - c1,
     )[0]
     closed = 2.0 * math.exp((R - r_A) / 2) * (1.0 - math.exp(-c3 / 2)) / (math.pi * norm) * integ
-    reg = measure.intersection(shell, measure.band_origin(R - c2, R - c1))
+    reg = measure.intersection(measure.band_origin(R - c2, R - c1), shell)
     mc = measure.mu_monte_carlo(reg, MC_SAMPLES, seed, params)
     seed += 1
     if not _mc_agrees(closed, mc, 0.0):

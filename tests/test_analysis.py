@@ -13,7 +13,6 @@ from scipy.sparse import csgraph
 
 from rhglab.analysis import (
     CenterCliqueError,
-    _bfs_component,
     analyze,
     bounding_diameters,
     center_clique,
@@ -24,7 +23,6 @@ from rhglab.analysis import (
     distance_to_center,
     induced_path_components,
     save_report,
-    verify_induced_path,
 )
 from rhglab.cli import main
 from rhglab.geometry import ModelParams
@@ -32,6 +30,33 @@ from rhglab.graphs import Graph, build_fast, save_graph
 from rhglab.sampler import SampleSet, sample_uniform_model
 
 PARAMS = ModelParams(alpha=0.75, C=0.0, n=500)
+
+
+def _bfs_component(g: Graph, start: int) -> np.ndarray:
+    """Plain BFS flood from start (independent oracle for components)."""
+    seen = np.zeros(g.n_vertices, dtype=bool)
+    seen[start] = True
+    stack = [start]
+    while stack:
+        u = stack.pop()
+        for v in g.neighbors(u):
+            if not seen[v]:
+                seen[v] = True
+                stack.append(int(v))
+    return np.flatnonzero(seen)
+
+
+def verify_induced_path(g: Graph, path: list) -> bool:
+    """Re-check a reported path: consecutive adjacent, the rest non-adjacent."""
+    for i, u in enumerate(path):
+        for j in range(i + 1, len(path)):
+            v = path[j]
+            adjacent = g.has_edge(u, v)
+            if j == i + 1 and not adjacent:
+                return False
+            if j > i + 1 and adjacent:
+                return False
+    return True
 
 
 def graph_from_edges(n, edges, params=PARAMS):

@@ -124,9 +124,8 @@ def test_monte_carlo_blocks_match_full_shards():
 
 def _plain(region, r, theta):
     """Reference evaluation of a composite region with whole-array masks."""
-    r, theta = np.broadcast_arrays(r, theta)
     if hasattr(region, "parts"):
-        out = np.ones(r.shape, dtype=bool)
+        out = np.ones(np.shape(r), dtype=bool)
         for part in region.parts:
             out = out & _plain(part, r, theta)
         return out
@@ -154,6 +153,7 @@ def test_composite_regions_match_plain_masks():
         (r, theta),
         (r.reshape(50, 100), theta.reshape(50, 100)),
         (r[:300], 1.0),  # broadcast scalar angle
+        (20.0, theta[:300]),  # broadcast scalar radius
         (np.empty(0), np.empty(0)),
         (R - 0.7, 0.1),
         (np.float64(R - 0.7), np.asarray(0.1)),
@@ -174,6 +174,55 @@ def test_composite_regions_match_plain_masks():
             want = _plain(region, rr, tt)
             assert np.shape(got) == np.shape(want), (region, np.shape(rr))
             assert np.array_equal(got, want), (region, np.shape(rr))
+
+
+def test_region_mask_shapes():
+    """A radial region's mask has r's shape and accepts theta=None; any
+    other region's mask has the broadcast shape of (r, theta)."""
+    R = P30.R
+    r = np.arange(300.0)
+    band = band_origin(R - 3.0, R - 0.5)
+    k = cone([(0.5, 2.5)])
+    assert k.contains(r, 1.0, P30).shape == (300,)
+    assert k.contains(1.0, r, P30).shape == (300,)
+    assert ball_at(PolarPoint(r=R - 1.0, theta=0.0), R).contains(r, 1.0, P30).shape == (300,)
+    for region in (ball_origin(R - 1.0), band, intersection(ball_origin(R), band),
+                   difference(band, ball_origin(R - 2.0)), intersection()):
+        assert region.contains(r, np.zeros((2, 1)), P30).shape == (300,), region
+        assert np.array_equal(region.contains(r, None, P30), region.contains(r, 1.0, P30))
+
+
+def test_radial_flag():
+    R = P30.R
+    ball, band = ball_origin(R - 1.0), band_origin(R - 3.0, R - 0.5)
+    far, k = ball_at(PolarPoint(r=R - 1.0, theta=0.0), R), cone([(0.5, 2.5)])
+    assert ball.radial and band.radial
+    assert not far.radial and not k.radial
+    assert intersection(ball, band).radial and difference(ball, band).radial
+    assert intersection().radial
+    assert difference(intersection(ball, band), band).radial
+    assert not intersection(band, far).radial and not intersection(k, band).radial
+    assert not difference(ball, k).radial and not difference(far, ball).radial
+    assert not difference(intersection(ball, band), intersection(band, k)).radial
+
+
+def test_radial_regions_match_angular_draw():
+    """A radial region, drawn as radii alone, gets the McEstimate that the
+    same region gets inside a whole-circle cone, which draws angles."""
+    R = P30.R
+    whole = cone([(0.0, math.pi), (math.pi, 0.0)])
+    regions = [
+        ball_origin(R - 1.0),
+        band_origin(R - 2.0, R - 1.0),
+        intersection(ball_origin(R - 0.5), band_origin(R - 3.0, R)),
+        difference(ball_origin(R - 1.0), band_origin(R - 2.0, R - 1.5)),
+    ]
+    for region in regions:
+        wrapped = intersection(region, whole)
+        assert region.radial and not wrapped.radial
+        est = mu_monte_carlo(region, 30_001, 5, P30)
+        assert est == mu_monte_carlo(wrapped, 30_001, 5, P30), region
+        assert 0.0 < est.mean < 1.0
 
 
 def test_monte_carlo_vs_exact_cdf():

@@ -7,7 +7,7 @@ import math
 import numpy as np
 import pytest
 
-from rhglab import sampler
+from rhglab import _rng, sampler
 from rhglab.geometry import ModelParams, PolarPoint
 from rhglab.measure import mu_ball_origin_exact
 from rhglab.sampler import (
@@ -60,6 +60,40 @@ def test_counter_substreams_batch_independent():
         r, theta = _points_from_counters(PARAMS, 9, [i])
         assert r[0] == s.r[i]
         assert theta[0] == s.theta[i]
+
+
+# counters 0, 1 and the first two probe substreams (2^62, 2^62 + 1)
+GOLDEN_COUNTERS = np.array([0, 1, 1 << 62, (1 << 62) + 1], dtype=np.uint64)
+# mix(7, 3): a Monte-Carlo shard key
+GOLDEN_SHARD_KEY = 0xE7567EF2AD7545B9
+# (seed, uniforms, radii, angles) at GOLDEN_COUNTERS under PARAMS
+GOLDEN_STREAMS = [
+    (0,
+     ["0x1.4e0dba5e9a32fp-1", "0x1.f647530ffa1bcp-2", "0x1.f64d2870a3146p-1", "0x1.3fb17252008b2p-1"],
+     ["0x1.9bb4fb09053ccp+3", "0x1.a5c6666c17d34p+3", "0x1.a92c68261d7adp+3", "0x1.844edffc28e97p+3"],
+     ["0x1.065d776d739a0p+2", "0x1.99501c07b6e3ap+1", "0x1.0665097fd651cp+1", "0x1.58ecae7567859p+0"]),
+    (12345,
+     ["0x1.035808208fee0p-6", "0x1.999eb32febde8p-1", "0x1.f4bc014c61386p-1", "0x1.21391a0e372ddp-1"],
+     ["0x1.b0940b32eea13p+3", "0x1.a7dddb4de01a0p+3", "0x1.b4f9c283bb69cp+3", "0x1.7397526760010p+3"],
+     ["0x1.97605c0e82c74p-4", "0x1.3d9d5d0f15b6ap+1", "0x1.6de6101711975p+0", "0x1.ccd19a6cb338fp+0"]),
+    (GOLDEN_SHARD_KEY,
+     ["0x1.fde4dd9162250p-2", "0x1.3731e89aa4328p-2", "0x1.87ccd5a9177d0p-2", "0x1.67a24e2b13bc0p-2"],
+     ["0x1.8748c736e3669p+3", "0x1.b206188e8b7b9p+3", "0x1.b7eb6504f7dc4p+3", "0x1.ac4202381bf74p+3"],
+     ["0x1.907845d7f3a0fp+1", "0x1.2d1a488d21658p+2", "0x1.dfff95b79f383p-1", "0x1.84de206c6fa5cp+2"]),
+]
+
+
+def test_counter_stream_golden_bits():
+    """The exact doubles of the counter streams: any change to the mixer,
+    the 53-bit conversion or the radial quantile changes every sample."""
+    assert int(_rng.mix(7, 3)) == GOLDEN_SHARD_KEY
+    for seed, u_hex, r_hex, theta_hex in GOLDEN_STREAMS:
+        u = _rng.uniforms(seed, GOLDEN_COUNTERS)
+        r, theta = _points_from_counters(PARAMS, seed, GOLDEN_COUNTERS)
+        assert [float(x).hex() for x in u] == u_hex, seed
+        assert [float(x).hex() for x in r] == r_hex, seed
+        assert [float(x).hex() for x in theta] == theta_hex, seed
+        assert np.array_equal(sampler._radii_from_counters(PARAMS, seed, GOLDEN_COUNTERS), r)
 
 
 def test_fixed_seed_reproducible():
