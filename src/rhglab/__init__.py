@@ -9,8 +9,6 @@ components) on realized instances.
 from .geometry import (
     ModelParams,
     PolarPoint,
-    angle_approx,
-    angle_at_origin,
     angular_difference,
     hyperbolic_distance,
     is_edge,

@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .analysis import bounding_diameters, min_index_labels
-from .geometry import ModelParams, edge_mask
+from .geometry import ModelParams, angular_difference, edge_mask
 from .graphs import Graph
 
 
@@ -290,9 +290,7 @@ def verify_path(g: Graph, path: list) -> bool:
     p = np.asarray(path, dtype=np.int64)
     r = g.sample.all_r()[p]
     theta = g.sample.all_theta()[p]
-    cosh_r, sinh_r = np.cosh(r), np.sinh(r)
-    return bool(np.all(edge_mask(np.cos(theta[:-1] - theta[1:]), cosh_r[:-1], sinh_r[:-1],
-                                 cosh_r[1:], sinh_r[1:], math.cosh(g.params.R))))
+    return bool(np.all(edge_mask(r[:-1], r[1:], theta[:-1] - theta[1:], g.params.R)))
 
 
 def expose(g: Graph, query: int, config: ExposeConfig | None = None,
@@ -354,8 +352,7 @@ def expose(g: Graph, query: int, config: ExposeConfig | None = None,
     if max_phases is None:
         max_phases = max(1, math.ceil(config.phase_constant * math.log(params.n)))
 
-    dtheta = np.minimum(np.abs(theta - theta[query]) % (2 * math.pi),
-                        2 * math.pi - np.abs(theta - theta[query]) % (2 * math.pi))
+    dtheta = angular_difference(theta, theta[query])
     # smallest l with R_l > R - xi
     ell0 = int(np.searchsorted(bands, R - config.xi, side="right"))
     ell0 = min(max(ell0, i0 + 1), len(bands) - 2)

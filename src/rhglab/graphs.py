@@ -3,20 +3,20 @@
 The one edge predicate, `geometry.edge_mask`, decides every pair in both
 builders, so their edge sets are identical bit for bit.  `build_naive`
 tests all pairs; `build_fast` tests the pairs inside angular windows over
-radial bands.  The windows are a padded superset of the true
-neighbourhoods, so pairs at the threshold angle are left to the predicate.
+radial bands, sized by the predicate's inverse `geometry.threshold_angle`.
+The windows are a padded superset of the true neighbourhoods, so pairs at
+the threshold angle are left to the predicate.
 """
 
 from __future__ import annotations
 
 import hashlib
-import math
 from dataclasses import dataclass
 
 import numpy as np
 from scipy import sparse
 
-from .geometry import TWO_PI, ModelParams, cos_threshold_array, edge_mask
+from .geometry import TWO_PI, ModelParams, edge_mask, threshold_angle
 from .sampler import SampleSet, load_points, save_points
 
 EDGES_FORMAT = "rhg-edges v1"
@@ -27,9 +27,11 @@ NAIVE_SIZE_GUARD = 50_000
 BAND_WIDTH = 1.0
 # candidate pairs expanded at once; bounds the sweep's temporary arrays
 CHUNK_PAIRS = 1 << 20
-# a window's cosine threshold is lowered by TIE_EPS times its rounding-error
-# scale, and its half-width widened by ANGLE_PAD radians
-TIE_EPS = 8 * np.finfo(float).eps
+# a window's threshold angle is computed with `threshold_angle`'s relative
+# slack TIE_EPS, which covers the predicate's rounding of both kernel terms
+# (up to R ulp in sinh^2((r_u - r_v)/2), whose argument is rounded), and
+# widened by ANGLE_PAD radians for the rounding of theta_u - theta_v
+TIE_EPS = 1e-12
 ANGLE_PAD = 1e-14
 
 
@@ -105,21 +107,13 @@ def build_naive(sample: SampleSet, override_size_guard: bool = False) -> Graph:
         )
     r = sample.all_r()
     theta = sample.all_theta()
-    cosh_r = np.cosh(r)
-    sinh_r = np.sinh(r)
-    cosh_R = math.cosh(sample.params.R)
+    R = sample.params.R
     us_parts, vs_parts = [], []
     block = max(1, int(4e6 // max(n, 1)) or 1)
     for start in range(0, n, block):
         stop = min(start + block, n)
         i = np.arange(start, stop)
-        cos_dt = np.cos(theta[i, None] - theta[None, :])
-        mask = edge_mask(
-            cos_dt,
-            cosh_r[i, None], sinh_r[i, None],
-            cosh_r[None, :], sinh_r[None, :],
-            cosh_R,
-        )
+        mask = edge_mask(r[i, None], r[None, :], theta[i, None] - theta[None, :], R)
         mask &= i[:, None] < np.arange(n)[None, :]
         ui, vi = np.nonzero(mask)
         us_parts.append(i[ui])
@@ -155,9 +149,6 @@ def build_fast(sample: SampleSet) -> Graph:
     r = sample.all_r()
     theta = sample.all_theta()
     angle = np.mod(theta, TWO_PI)  # the tiled search needs angles in [0, 2 pi)
-    cosh_r = np.cosh(r)
-    sinh_r = np.sinh(r)
-    cosh_R = math.cosh(params.R)
     band = np.ceil(np.maximum(r - params.R / 2.0, 0.0) / BAND_WIDTH).astype(np.int64)
     order = np.lexsort((angle, band))
     bands, starts = np.unique(band[order], return_index=True)
@@ -166,14 +157,10 @@ def build_fast(sample: SampleSet) -> Graph:
         members = order[start:stop]
         queries = order[:stop]
         m = len(members)
+        # the threshold angle falls as the partner's radius grows, so the
+        # band's lowest radius gives every member's window
         r_low = float(r[members].min())
-        # a radius at or near 0 makes the threshold and its error bound
-        # infinite; the nan of inf - inf becomes a full window
-        with np.errstate(all="ignore"):
-            scale = (cosh_r[queries] * math.cosh(r_low) + cosh_R) / (
-                sinh_r[queries] * math.sinh(r_low))
-            thr = cos_threshold_array(r[queries], r_low, params) - TIE_EPS * scale
-        w = np.arccos(np.clip(np.nan_to_num(thr, nan=-1.0), -1.0, 1.0)) + ANGLE_PAD
+        w = threshold_angle(r[queries], r_low, params.R, TIE_EPS) + ANGLE_PAD
         a = angle[members]
         tiled = np.concatenate([a - TWO_PI, a, a + TWO_PI])
         lo = np.searchsorted(tiled, angle[queries] - w, side="left")
@@ -185,8 +172,7 @@ def build_fast(sample: SampleSet) -> Graph:
             v = members[pos % m]
             keep = lower[q] | (u < v)
             u, v = u[keep], v[keep]
-            hit = edge_mask(np.cos(theta[u] - theta[v]), cosh_r[u], sinh_r[u],
-                            cosh_r[v], sinh_r[v], cosh_R)
+            hit = edge_mask(r[u], r[v], theta[u] - theta[v], params.R)
             us_parts.append(u[hit])
             vs_parts.append(v[hit])
     return Graph.from_edges(sample, np.concatenate(us_parts), np.concatenate(vs_parts), "fast")

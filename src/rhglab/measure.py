@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._rng import mix
-from .geometry import TWO_PI, ModelParams, PolarPoint, hyperbolic_distance
+from .geometry import TWO_PI, ModelParams, PolarPoint, edge_mask, hyperbolic_distance
 from .sampler import _points_from_counters, _radii_from_counters
 
 # 99% two-sided normal quantile
@@ -74,11 +74,8 @@ class BallAt(Region):
     rho: float
 
     def contains(self, r, theta, params):
-        r = np.asarray(r, dtype=np.float64)
-        cosh_d = math.cosh(self.center.r) * np.cosh(r) - math.sinh(
-            self.center.r
-        ) * np.sinh(r) * np.cos(np.asarray(theta) - self.center.theta)
-        return cosh_d <= math.cosh(self.rho)
+        return edge_mask(self.center.r, np.asarray(r, dtype=np.float64),
+                         np.asarray(theta) - self.center.theta, self.rho)
 
 
 @dataclass(frozen=True)
@@ -131,7 +128,8 @@ class Difference(Region):
 
 @dataclass(frozen=True)
 class Cone(Region):
-    """Union of angular intervals [lo, hi) (radians, taken mod 2*pi)."""
+    """Union of angular intervals [lo, hi) (radians, taken mod 2*pi); an
+    interval with hi - lo >= 2*pi is the whole circle."""
 
     intervals: tuple  # of (lo, hi) pairs
 
@@ -139,6 +137,9 @@ class Cone(Region):
         theta = np.asarray(theta) % TWO_PI
         out = np.zeros(np.broadcast_shapes(np.shape(r), theta.shape), dtype=bool)
         for lo, hi in self.intervals:
+            if hi - lo >= TWO_PI:
+                out[...] = True
+                continue
             lo %= TWO_PI
             hi %= TWO_PI
             if lo <= hi:

@@ -1,5 +1,6 @@
 """Geometry kernel tests: exactness against a high-precision oracle,
-triangle identities, predicate equivalence, and the angle approximation.
+triangle identities, predicate equivalence, decisions at the threshold,
+and the paper's angle approximation.
 """
 
 import math
@@ -9,29 +10,25 @@ import numpy as np
 import pytest
 
 from rhglab.geometry import (
-    CLAMP_ABORT,
     ModelParams,
-    NumericHealthError,
     PolarPoint,
-    angle_approx,
-    angle_approx_correction,
-    angle_at_origin,
     angular_difference,
-    clamp_stats,
-    cos_threshold,
-    cos_threshold_array,
+    edge_mask,
     hyperbolic_distance,
     is_edge,
     max_angle_for_edge,
-    max_angle_for_edge_array,
+    threshold_angle,
 )
+from rhglab.measure import ball_at
 
 PARAMS = ModelParams(alpha=0.75, C=0.0, n=int(round(math.exp(15.0))))  # R close to 30
 
 
 def mp_distance(r1, t1, r2, t2):
-    """Extended-precision law-of-cosines distance (independent oracle)."""
-    with mpmath.workdps(60):
+    """Extended-precision law-of-cosines distance (independent oracle);
+    the working precision grows with r1 + r2, so the cancellation of
+    cosh r1 cosh r2 against sinh r1 sinh r2 cos(t1 - t2) leaves 60 digits."""
+    with mpmath.workdps(60 + int(r1 + r2)):
         arg = mpmath.cosh(r1) * mpmath.cosh(r2) - mpmath.sinh(r1) * mpmath.sinh(
             r2
         ) * mpmath.cos(t1 - t2)
@@ -114,9 +111,12 @@ def test_triangle_inequality():
     assert checked == 100
 
 
+# the angle at the origin opposite side c of a triangle with sides a, b
+# from the origin is threshold_angle(a, b, c)
+
 def test_angle_at_origin_degenerate_cases():
-    assert abs(angle_at_origin(2.0, 3.0, 5.0) - math.pi) < 1e-9
-    assert abs(angle_at_origin(2.0, 3.0, 1.0) - 0.0) < 1e-9
+    assert abs(threshold_angle(2.0, 3.0, 5.0) - math.pi) < 1e-9
+    assert abs(threshold_angle(2.0, 3.0, 1.0) - 0.0) < 1e-9
 
 
 def test_angle_at_origin_symmetric():
@@ -125,27 +125,16 @@ def test_angle_at_origin_symmetric():
         a = 1.0 + 20.0 * rng.random()
         b = 1.0 + 20.0 * rng.random()
         c = abs(a - b) + (a + b - abs(a - b)) * rng.random()
-        assert angle_at_origin(a, b, c) == angle_at_origin(b, a, c)
-
-
-def test_angle_at_origin_domain_error():
-    with pytest.raises(ValueError):
-        angle_at_origin(2.0, 3.0, 6.0)
-    with pytest.raises(ValueError):
-        angle_at_origin(2.0, 3.0, 0.5)
-
-
-def test_angle_approx_leading_term():
-    R = 30.0
-    assert abs(angle_approx(R, R, R) - 2.0 * math.exp(-15.0)) < 1e-18
+        assert threshold_angle(a, b, c) == threshold_angle(b, a, c)
 
 
 def test_angle_approx_correction_tends_to_one():
-    # the multiplicative bracket should approach 1 as a+b-c grows
+    # the multiplicative bracket exact / 2 e^{(c-a-b)/2} should approach 1
+    # as a+b-c grows
     R = 30.0
     prev = None
     for gap in (2.0, 4.0, 8.0, 12.0):
-        corr = angle_approx_correction(R, R, 2 * R - gap)
+        corr = threshold_angle(R, R, 2 * R - gap) / (2.0 * math.exp(-gap / 2.0))
         err = abs(corr - 1.0)
         if prev is not None:
             assert err < prev
@@ -157,7 +146,7 @@ def test_angle_increasing_in_c():
     a = b = 16.0  # both above R/2 for R = 30
     prev = 0.0
     for c in np.linspace(16.0, 30.0, 50):
-        ang = angle_at_origin(a, b, float(c))
+        ang = threshold_angle(a, b, float(c))
         assert ang >= prev
         prev = ang
 
@@ -166,6 +155,11 @@ def test_angular_difference():
     assert abs(angular_difference(0.1, 0.3) - 0.2) < 1e-15
     assert abs(angular_difference(0.05, 2 * math.pi - 0.05) - 0.1) < 1e-12
     assert angular_difference(1.234, 1.234) == 0.0
+    rng = np.random.default_rng(8)
+    theta = 2 * math.pi * rng.random(1000)
+    got = angular_difference(theta, theta[17])
+    assert np.array_equal(got, [angular_difference(float(t), float(theta[17])) for t in theta])
+    assert got[17] == 0.0 and np.all((got >= 0.0) & (got <= math.pi))
 
 
 def test_max_angle_always_edge():
@@ -195,37 +189,31 @@ def test_max_angle_monotone_in_radius():
 
 
 def test_edge_predicate_equivalence():
-    """[d <= R] iff [dtheta <= max_angle] iff is_edge, on 10^5 pairs."""
+    """[d <= R] iff [dtheta <= threshold angle] iff edge_mask iff is_edge,
+    on 10^5 pairs, off a 1e-9 relative knife edge."""
     rng = np.random.default_rng(6)
     R = PARAMS.R
     count = 100_000
     r1, t1 = random_points(rng, count, R)
     r2, t2 = random_points(rng, count, R)
-    thr = max_angle_for_edge_array(r1, r2, PARAMS)
-    dt = np.minimum(np.abs(t1 - t2) % (2 * math.pi),
-                    2 * math.pi - np.abs(t1 - t2) % (2 * math.pi))
-    by_angle = dt <= thr
-    cos_thr = cos_threshold_array(r1, r2, PARAMS)
-    by_cos = np.cos(t1 - t2) >= cos_thr
-    assert np.array_equal(by_angle, by_cos)
+    thr = threshold_angle(r1, r2, R)
+    dt = angular_difference(t1, t2)
+    by_kernel = edge_mask(r1, r2, t1 - t2, R)
+    clear = np.abs(dt - thr) > 1e-9 * thr
+    assert clear.mean() > 0.999
+    assert np.array_equal((dt <= thr)[clear], by_kernel[clear])
     for i in range(0, count, 211):
         p = PolarPoint(r=r1[i], theta=t1[i])
         q = PolarPoint(r=r2[i], theta=t2[i])
-        assert is_edge(p, q, PARAMS) == bool(by_cos[i])
+        assert is_edge(p, q, PARAMS) == bool(by_kernel[i])
         d = hyperbolic_distance(p, q)
         if abs(d - R) > 1e-9:  # stay off the knife edge for the d-form
-            assert (d <= R) == bool(by_cos[i])
-
-
-def test_cos_threshold_always_edge_sentinel():
-    R = PARAMS.R
-    assert cos_threshold(0.0, 5.0, PARAMS) == -2.0
-    assert cos_threshold(R / 2, R / 2, PARAMS) == -2.0
-    assert cos_threshold(R - 1, R - 1, PARAMS) > -1.0
+            assert (d <= R) == bool(by_kernel[i])
 
 
 def test_angle_bracket_constant():
-    """|exact - approx| / approx <= K e^{c-a-b} with K <= 4 when a+b-c >= 2.
+    """|exact - approx| / approx <= K e^{c-a-b} with K <= 4 when a+b-c >= 2,
+    for the paper's estimate approx = 2 e^{(c-a-b)/2} of the angle.
 
     Sampled with c >= max(a, b), the regime the threshold bound actually
     uses; for smaller c the neglected e^{|a-b|-c} term dominates and no
@@ -243,11 +231,59 @@ def test_angle_bracket_constant():
         if hi <= lo:
             continue
         c = lo + (hi - lo) * rng.random()
-        rel = abs(angle_at_origin(a, b, c) - angle_approx(a, b, c)) / angle_approx(a, b, c)
+        approx = 2.0 * math.exp(0.5 * (c - a - b))
+        rel = abs(threshold_angle(a, b, c) - approx) / approx
         worst = max(worst, rel / math.exp(c - a - b))
         checked += 1
     assert checked > 1000
     assert worst <= 4.0
+
+
+def test_large_radius_near_coincident_pair():
+    """At R = 340 two points at r = R - 1, 1e-9 rad apart, are about 635
+    apart: the kernel must neither join them nor lose their distance."""
+    params = ModelParams(alpha=0.75, C=340.0 - 2.0 * math.log(1000), n=1000)
+    R = params.R
+    for p, q in [(PolarPoint(R - 1.0, 1.0), PolarPoint(R - 1.0, 1.0 + 1e-9)),
+                 (PolarPoint(R - 1.0, 1.0), PolarPoint(R - 1.0 - 1e-9, 1.0 - 1e-9))]:
+        assert not is_edge(p, q, params)
+        want = mp_distance(p.r, p.theta, q.r, q.theta)
+        assert 600.0 < want < 700.0
+        assert abs(hyperbolic_distance(p, q) - want) <= 1e-12 * want
+
+
+def _mp_gap(r_u, r_v, d):
+    """Angular gap at which radii r_u, r_v are exactly d apart, to 60 digits."""
+    with mpmath.workdps(60):
+        x = (mpmath.sinh(mpmath.mpf(d) / 2) ** 2 - mpmath.sinh((mpmath.mpf(r_u) - r_v) / 2) ** 2) / (
+            mpmath.sinh(r_u) * mpmath.sinh(r_v))
+        return float(2 * mpmath.asin(mpmath.sqrt(x)))
+
+
+@pytest.mark.parametrize("rho", [PARAMS.R, 340.0])
+def test_threshold_decisions_match_mpmath_oracle(rho):
+    """Pairs whose distance lies within 1e-9 relative of rho, on either
+    side, are decided as the 60-digit oracle decides them by edge_mask,
+    BallAt.contains and hyperbolic_distance."""
+    rng = np.random.default_rng(10)
+    pairs, inside = [], []
+    for _ in range(400):
+        a, b = rho / 2 + (rho / 2) * rng.random(2)  # |a - b| < rho < a + b
+        target = rho * (1.0 + rng.choice([-1.0, 1.0]) * 10.0 ** -rng.integers(9, 12))
+        gap = _mp_gap(a, b, target)
+        # a tiny gap starts at theta = 0, where the float angles keep it exactly
+        p = PolarPoint(r=a, theta=2 * math.pi * rng.random() if gap > 1e-3 else 0.0)
+        q = PolarPoint(r=b, theta=p.theta + gap)
+        d = mp_distance(p.r, p.theta, q.r, q.theta)
+        assert abs(d / rho - 1.0) > 1e-12  # clear of rounding in the oracle's inputs
+        pairs.append((p.r, q.r, p.theta, q.theta))
+        inside.append(d <= rho)
+        assert (hyperbolic_distance(p, q) <= rho) == (d <= rho)
+        assert bool(ball_at(p, rho).contains(q.r, q.theta, PARAMS)) == (d <= rho)
+    r_u, r_v, t_u, t_v = np.array(pairs).T
+    assert 100 < sum(inside) < 300
+    assert np.array_equal(edge_mask(r_u, r_v, t_u - t_v, rho), inside)
+    assert np.array_equal(edge_mask(r_v, r_u, t_v - t_u, rho), inside)
 
 
 def test_params_validation():
@@ -268,10 +304,3 @@ def test_polar_point_normalization():
     assert abs(p.theta - 0.25) < 1e-12
     with pytest.raises(ValueError):
         PolarPoint(r=-0.1, theta=0.0)
-
-
-def test_clamp_health_abort():
-    clamp_stats.reset()
-    with pytest.raises(NumericHealthError):
-        clamp_stats.record(10 * CLAMP_ABORT)
-    clamp_stats.reset()

@@ -122,8 +122,8 @@ def test_builders_identical_at_large_radius(R):
     s = sample_uniform_model(params, 0)
     # sampled radii all lie near R, with no edges among them; inner probes
     # give edges at every band.  The three outer probes, 1e-9 rad apart,
-    # have threshold angles below 1e-70, yet the predicate accepts them
-    # (cos(1e-9) rounds to 1), so the windows must reach 1e-9 rad as well
+    # have threshold angles below 1e-70 and lie about 635 apart, so no two
+    # of them are adjacent
     for r, theta in [(0.0, 0.0), (2.0, 2.0), (9.0, 9.0), (R / 2, 1.0), (R / 2 + 0.5, 4.0),
                      (R - 1.0, 1.0), (R - 1.0, 1.0 + 1e-9), (R - 1.0 - 1e-9, 1.0 - 1e-9)]:
         s = add_probe(s, PolarPoint(r=r, theta=theta))
@@ -132,6 +132,8 @@ def test_builders_identical_at_large_radius(R):
         gn, gf = build_naive(s), build_fast(s)
     assert gn.edge_count > 1000
     assert np.array_equal(gn.edge_array(), gf.edge_array())
+    outer = range(s.n_total - 3, s.n_total)
+    assert not any(gn.has_edge(u, v) for u in outer for v in outer)
 
 
 def test_toy_sizes():

@@ -190,6 +190,11 @@ def test_region_mask_shapes():
                    difference(band, ball_origin(R - 2.0)), intersection()):
         assert region.contains(r, np.zeros((2, 1)), P30).shape == (300,), region
         assert np.array_equal(region.contains(r, None, P30), region.contains(r, 1.0, P30))
+    # an interval spanning 2 pi or more is the whole circle, wherever it starts
+    theta = np.linspace(-7.0, 7.0, 301)
+    for whole in (cone([(0.0, 2 * math.pi)]), cone([(1.0, 1.0 + 2 * math.pi)]),
+                  cone([(-3.0, 5.0)])):
+        assert whole.contains(1.0, theta, P30).all(), whole
 
 
 def test_radial_flag():
@@ -210,7 +215,7 @@ def test_radial_regions_match_angular_draw():
     """A radial region, drawn as radii alone, gets the McEstimate that the
     same region gets inside a whole-circle cone, which draws angles."""
     R = P30.R
-    whole = cone([(0.0, math.pi), (math.pi, 0.0)])
+    whole = cone([(0.0, 2 * math.pi)])
     regions = [
         ball_origin(R - 1.0),
         band_origin(R - 2.0, R - 1.0),
